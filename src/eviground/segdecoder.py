@@ -8,10 +8,20 @@ collapse all patch tokens to one vector here, killing localization). A
 linear head maps normalized tokens back to per-patch voxel logits.
 Forward passes cache every intermediate so the backward pass can be
 written by hand (no autodiff graph).
+
+Parameter layout: every trainable tensor lives in one contiguous float64
+vector, ``SegDecoder.flat``; ``SegDecoder.params`` maps each name to a
+reshaped view into it (per layer ``l{i}.sa_*``, ``l{i}.ca_*``, ``l{i}.ff_*``,
+``l{i}.ln{1,2,3}_*``, then ``lnf_*`` and ``head_*``, 52,480 scalars at the
+default config). ``backward`` accumulates into one zeroed vector of the same
+layout, and ``Adam`` keeps its moments as two more such vectors and updates
+the whole vector in place, one ufunc at a time. Checkpoints keep one EMAD
+file per name, so the flat layout never reaches the disk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,9 +93,12 @@ def _axis_positional_encoding(m: int, token_dim: int) -> np.ndarray:
 
 
 def _layernorm_forward(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum(...) / d rounds exactly as np.mean (add.reduce, then a divide by the
+    # count) without its Python-level wrapper; the backward does the same
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     return gamma * xhat + beta, (xhat, inv, gamma)
@@ -96,10 +109,11 @@ def _layernorm_backward(dy, cache):
     dgamma = (dy * xhat).sum(axis=0)
     dbeta = dy.sum(axis=0)
     dxhat = dy * gamma
+    d = dxhat.shape[-1]
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - dxhat.sum(axis=-1, keepdims=True) / d
+        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
     )
     return dx, dgamma, dbeta
 
@@ -139,43 +153,64 @@ def _attention_backward(dout, cache, wq, wk, wv, wo):
     return dq_in, dkv_in, grads
 
 
+_ATTENTION_KEYS = ("sa_wq", "sa_wk", "sa_wv", "sa_wo", "ca_wq", "ca_wk", "ca_wv", "ca_wo")
+
+
+def _layout(c: SegDecoderConfig) -> list[tuple[str, int, int, tuple[int, ...]]]:
+    """Name, ``[start, stop)`` span in ``SegDecoder.flat`` and shape of every
+    trainable tensor."""
+    d, h = c.token_dim, c.ffn_hidden
+    layer = [(name, (d, d)) for name in _ATTENTION_KEYS]
+    layer += [("ff_w1", (d, h)), ("ff_b1", (h,)), ("ff_w2", (h, d)), ("ff_b2", (d,))]
+    layer += [(f"{ln}_{part}", (d,)) for ln in ("ln1", "ln2", "ln3") for part in ("g", "b")]
+    shapes = [(f"l{i}.{name}", shape) for i in range(c.layers) for name, shape in layer]
+    shapes += [("lnf_g", (d,)), ("lnf_b", (d,)), ("head_w", (d, c.patch_voxels)),
+               ("head_b", (c.patch_voxels,))]
+    slots, stop = [], 0
+    for name, shape in shapes:
+        start, stop = stop, stop + math.prod(shape)
+        slots.append((name, start, stop, shape))
+    return slots
+
+
 class SegDecoder:
     """Trainable decoder weights plus a frozen patch projection and
-    positional table (derived from the config seed, never updated)."""
+    positional table (derived from the config seed, never updated).
 
-    _LAYER_KEYS = (
-        "sa_wq", "sa_wk", "sa_wv", "sa_wo", "ln1_g", "ln1_b",
-        "ca_wq", "ca_wk", "ca_wv", "ca_wo", "ln2_g", "ln2_b",
-        "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln3_g", "ln3_b",
-    )
+    ``flat`` holds every trainable scalar; ``params`` names views into it.
+    """
 
     def __init__(self, cfg: SegDecoderConfig | None = None):
         self.cfg = cfg or SegDecoderConfig()
         c = self.cfg
         rng = np.random.default_rng(c.seed)
         d, h = c.token_dim, c.ffn_hidden
-        self.params: dict[str, np.ndarray] = {}
+        self._slots = _layout(c)
+        self.flat = np.zeros(self._slots[-1][2])
+        self.params = self.views(self.flat)
+        p = self.params
+        # draw order is part of the seed contract: keep it when adding tensors
         for i in range(c.layers):
-            p = f"l{i}."
-            for name in ("sa_wq", "sa_wk", "sa_wv", "sa_wo", "ca_wq", "ca_wk", "ca_wv", "ca_wo"):
-                self.params[p + name] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
-            self.params[p + "ff_w1"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h))
-            self.params[p + "ff_b1"] = np.zeros(h)
-            self.params[p + "ff_w2"] = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, d))
-            self.params[p + "ff_b2"] = np.zeros(d)
+            pre = f"l{i}."
+            for name in _ATTENTION_KEYS:
+                p[pre + name][...] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
+            p[pre + "ff_w1"][...] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h))
+            p[pre + "ff_w2"][...] = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, d))
             for name in ("ln1", "ln2", "ln3"):
-                self.params[p + name + "_g"] = np.ones(d)
-                self.params[p + name + "_b"] = np.zeros(d)
-        self.params["lnf_g"] = np.ones(d)
-        self.params["lnf_b"] = np.zeros(d)
-        self.params["head_w"] = rng.normal(0.0, 0.01, size=(d, c.patch_voxels))
+                p[pre + name + "_g"][...] = 1.0
+        p["lnf_g"][...] = 1.0
+        p["head_w"][...] = rng.normal(0.0, 0.01, size=(d, c.patch_voxels))
         # start near the foreground prior so BCE does not saturate the sigmoid
-        self.params["head_b"] = np.full(c.patch_voxels, -3.0)
+        p["head_b"][...] = -3.0
         # frozen visual tokenizer: patch projection + positional table
         self.patch_proj = rng.normal(0.0, 1.0 / np.sqrt(c.patch_voxels), size=(c.patch_voxels, d))
         self.patch_proj.setflags(write=False)
         self.pos_table = _axis_positional_encoding(c.patches_per_axis, d)
         self.pos_table.setflags(write=False)
+
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Named, reshaped views into a vector laid out like ``flat``."""
+        return {name: vec[start:stop].reshape(shape) for name, start, stop, shape in self._slots}
 
     # --- tokenization ---------------------------------------------------------
 
@@ -234,15 +269,19 @@ class SegDecoder:
         return logits, cache
 
     def backward(self, dlogits: np.ndarray, cache):
-        """Gradients for all trainable params and the evidence tokens."""
+        """Gradient of every trainable param as one vector laid out like
+        ``flat`` (``views`` names its parts), and of the evidence tokens."""
         c = self.cfg
         volume_tokens, evidence_tokens, layer_caches, x_norm, lnf_cache, zero_cross = cache
         p = self.params
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
+        gflat = np.zeros_like(self.flat)
+        grads = self.views(gflat)
         dpatch = patchify(dlogits, c.patch)
-        grads["head_w"] = x_norm.T @ dpatch
-        grads["head_b"] = dpatch.sum(axis=0)
-        dx, grads["lnf_g"], grads["lnf_b"] = _layernorm_backward(dpatch @ p["head_w"].T, lnf_cache)
+        grads["head_w"][...] = x_norm.T @ dpatch
+        grads["head_b"][...] = dpatch.sum(axis=0)
+        dx, dgf, dbf = _layernorm_backward(dpatch @ p["head_w"].T, lnf_cache)
+        grads["lnf_g"][...] = dgf
+        grads["lnf_b"][...] = dbf
         dt = np.zeros_like(evidence_tokens)
         for i in reversed(range(c.layers)):
             pre = f"l{i}."
@@ -285,7 +324,7 @@ class SegDecoder:
             grads[pre + "ln1_g"] += dg1
             grads[pre + "ln1_b"] += db1
             dx = dx + da_in
-        return grads, dt
+        return gflat, dt
 
     # --- checkpoints ------------------------------------------------------------
 
@@ -303,10 +342,23 @@ class SegDecoder:
 
     @classmethod
     def load(cls, directory: str | Path) -> "SegDecoder":
+        """Rebuild a saved decoder; its tensors must match the config's layout."""
         params, meta = tensorio.load_params(directory)
         meta.pop("kind", None)
         dec = cls(SegDecoderConfig(**meta))
-        dec.params = params
+        missing = sorted(dec.params.keys() - params.keys())
+        if missing:
+            raise ValidationError(f"{directory}: decoder checkpoint lacks tensors {missing}")
+        unknown = sorted(params.keys() - dec.params.keys())
+        if unknown:
+            raise ValidationError(f"{directory}: decoder checkpoint has unknown tensors {unknown}")
+        for name, view in dec.params.items():
+            if params[name].shape != view.shape:
+                raise DimMismatchError(
+                    f"{directory}: tensor {name} has shape {params[name].shape}, "
+                    f"the config needs {view.shape}"
+                )
+            view[...] = params[name]
         return dec
 
 
@@ -322,23 +374,40 @@ def decode_mask(
 
 
 class Adam:
-    """Per-parameter adaptive steps; plain SGD cannot traverse the mixed
-    gradient scales of the attention stack here."""
+    """Adam (Kingma & Ba 2015) on one flat parameter vector; plain SGD
+    cannot traverse the mixed gradient scales of the attention stack here.
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float, b1=0.9, b2=0.999, eps=1e-8):
+    ``step`` updates the whole vector in place, one ufunc per operation,
+    in the order ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, so every element rounds
+    exactly as the per-tensor formula does.
+    """
+
+    def __init__(self, params: np.ndarray, lr: float, b1=0.9, b2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
-        for k, g in grads.items():
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            m_hat = self.m[k] / (1 - self.b1**self.t)
-            v_hat = self.v[k] / (1 - self.b2**self.t)
-            params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        np.multiply(m, self.b1, out=m)
+        np.multiply(grads, 1 - self.b1, out=num)
+        np.add(m, num, out=m)
+        np.multiply(v, self.b2, out=v)
+        np.multiply(grads, 1 - self.b2, out=num)
+        np.multiply(num, grads, out=num)
+        np.add(v, num, out=v)
+        np.divide(m, 1 - self.b1**self.t, out=num)
+        np.multiply(num, self.lr, out=num)
+        np.divide(v, 1 - self.b2**self.t, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, self.eps, out=den)
+        np.divide(num, den, out=num)
+        np.subtract(params, num, out=params)
 
 
 def train_mask_decoder(
@@ -355,7 +424,7 @@ def train_mask_decoder(
     if lambda_mask == 0.0 or not samples:
         return []
     rng = np.random.default_rng(seed)
-    opt = Adam(dec.params, lr)
+    opt = Adam(dec.flat, lr)
     curve = []
     for _ in range(epochs):
         order = rng.permutation(len(samples))
@@ -366,6 +435,6 @@ def train_mask_decoder(
             loss = dice_bce_loss(logits, gt, lambda_dice, lambda_bce)
             total += lambda_mask * loss.value
             grads, _ = dec.backward(lambda_mask * loss.grads["pred_logits"], cache)
-            opt.step(dec.params, grads)
+            opt.step(dec.flat, grads)
         curve.append(total / len(samples))
     return curve

@@ -57,6 +57,8 @@ def load_tensor(path: str | Path) -> np.ndarray:
         raw = fh.read(4 * n)
         if len(raw) != 4 * n:
             raise ValidationError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise ValidationError(f"{path}: trailing bytes after payload")
     data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     x = data.reshape(dims)
     assert_finite(x, str(path))

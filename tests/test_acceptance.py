@@ -349,5 +349,7 @@ def test_criterion_8_roundtrip_and_determinism(default_cohort, tmp_path):
     assert len(split["train"]) == 70
     assert len(split["val"]) == 10
     assert len(split["test"]) == 20
-    assert not (set(split["train"]) & set(split["val"]) & set(split["test"]))
+    train, val, test = (set(split[k]) for k in ("train", "val", "test"))
+    assert not (train & val) and not (train & test) and not (val & test)
+    assert train | val | test == set(default_cohort.records)
     _announce(8, "round-trip and determinism")

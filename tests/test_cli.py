@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from eviground import tensorio
 from eviground.cli import cli_main
+from eviground.segdecoder import SegDecoder
+from eviground.textenc import Embedder
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +288,38 @@ def test_negative_seed_rejected(tmp_path):
         ["generate-cohort", "--out", str(tmp_path / "c"), "--n", "4", "--seed", "-1"]
     )
     assert code == 1
+
+
+@pytest.fixture
+def sea_checkpoint(tmp_path):
+    """An untrained checkpoint laid out as train-sea writes it."""
+    root = tmp_path / "sea"
+    Embedder().save(root / "embedder")
+    SegDecoder().save(root / "decoder")
+    return root
+
+
+def _eval_grounding_error(cohort_dir, checkpoint, out, capsys) -> str:
+    code = cli_main(
+        ["eval-grounding", "--cohort", str(cohort_dir), "--checkpoint", str(checkpoint),
+         "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_decoder_checkpoint_missing_tensor_exits_1(tmp_path, cohort_dir, sea_checkpoint, capsys):
+    manifest_path = sea_checkpoint / "decoder" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["params"].remove("l0.sa_wq")
+    manifest_path.write_text(json.dumps(manifest))
+    err = _eval_grounding_error(cohort_dir, sea_checkpoint, tmp_path / "eval", capsys)
+    assert "l0.sa_wq" in err
+
+
+def test_decoder_checkpoint_wrong_shape_exits_1(tmp_path, cohort_dir, sea_checkpoint, capsys):
+    tensorio.save_tensor(sea_checkpoint / "decoder" / "l0.sa_wq.emad", np.ones((3, 32)))
+    err = _eval_grounding_error(cohort_dir, sea_checkpoint, tmp_path / "eval", capsys)
+    assert "l0.sa_wq" in err and "(3, 32)" in err

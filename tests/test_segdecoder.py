@@ -6,6 +6,7 @@ import pytest
 from eviground import losses
 from eviground.errors import DimMismatchError, ValidationError
 from eviground.segdecoder import (
+    Adam,
     SegDecoder,
     SegDecoderConfig,
     decode_mask,
@@ -79,27 +80,53 @@ def test_backward_matches_finite_differences(tiny):
     logits, cache = dec.forward(tokens, evidence)
     lw = losses.dice_bce_loss(logits, gt)
     grads, dt = dec.backward(lw.grads["pred_logits"], cache)
+    assert grads.shape == dec.flat.shape
 
-    # absolute agreement; relative error is meaningless for the tiniest entries
+    # every trainable entry; absolute agreement, since relative error is
+    # meaningless for the tiniest entries
     h = 1e-5
-    for name in ("l0.sa_wq", "l1.ca_wk", "l1.ff_w1", "head_w", "lnf_g"):
-        p = dec.params[name]
-        flat = p.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(0, flat.size, max(1, flat.size // 10)):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = losses.dice_bce_loss(dec.forward(tokens, evidence)[0], gt).value
-            flat[i] = orig - h
-            fm = losses.dice_bce_loss(dec.forward(tokens, evidence)[0], gt).value
-            flat[i] = orig
-            fd = (fp - fm) / (2 * h)
-            assert fd == pytest.approx(gflat[i], rel=1e-3, abs=1e-8)
+    flat = dec.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = losses.dice_bce_loss(dec.forward(tokens, evidence)[0], gt).value
+        flat[i] = orig - h
+        fm = losses.dice_bce_loss(dec.forward(tokens, evidence)[0], gt).value
+        flat[i] = orig
+        fd = (fp - fm) / (2 * h)
+        assert fd == pytest.approx(grads[i], rel=1e-3, abs=1e-8), f"flat entry {i}"
 
     def f_ev(x):
         return losses.dice_bce_loss(dec.forward(tokens, x)[0], gt).value
 
     assert losses.finite_difference_check(f_ev, evidence.copy(), dt) < 1e-4
+
+
+def test_flat_adam_matches_per_tensor_formula(tiny):
+    dec, _, _ = tiny
+    assert sum(view.size for view in dec.params.values()) == dec.flat.size
+    for name, view in dec.params.items():
+        assert np.shares_memory(view, dec.flat), name
+
+    rng = np.random.default_rng(5)
+    dec.flat[...] = rng.normal(size=dec.flat.size)
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    ref = {k: v.copy() for k, v in dec.params.items()}
+    m = {k: np.zeros_like(v) for k, v in ref.items()}
+    v = {k: np.zeros_like(x) for k, x in ref.items()}
+    opt = Adam(dec.flat, lr, b1, b2, eps)
+    for t in range(1, 21):
+        # gradient scales from 1e-6 to 1e3 exercise the rounding of every term
+        g = rng.normal(size=dec.flat.size) * 10.0 ** rng.integers(-6, 4, size=dec.flat.size)
+        opt.step(dec.flat, g)
+        for k, gk in dec.views(g).items():
+            m[k] = b1 * m[k] + (1 - b1) * gk
+            v[k] = b2 * v[k] + (1 - b2) * gk * gk
+            m_hat = m[k] / (1 - b1**t)
+            v_hat = v[k] / (1 - b2**t)
+            ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    for k, expected in ref.items():
+        np.testing.assert_array_equal(dec.params[k], expected, err_msg=k)
 
 
 def test_training_reduces_loss_single_sample(tiny):
@@ -115,5 +142,6 @@ def test_checkpoint_roundtrip(tmp_path, tiny):
     ref = decode_mask(dec, tokens, evidence)
     dec.save(tmp_path / "dec")
     back = SegDecoder.load(tmp_path / "dec")
+    assert all(np.shares_memory(view, back.flat) for view in back.params.values())
     got = decode_mask(back, tokens, evidence)
     np.testing.assert_allclose(got, ref, atol=1e-5)  # f32 serialization

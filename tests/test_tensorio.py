@@ -43,6 +43,14 @@ def test_truncated_payload_rejected(tmp_path):
         tensorio.load_tensor(path)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "t.emad"
+    tensorio.save_tensor(path, np.ones((4, 4)))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValidationError, match="trailing"):
+        tensorio.load_tensor(path)
+
+
 def test_nonfinite_rejected(tmp_path):
     with pytest.raises(ValidationError):
         tensorio.save_tensor(tmp_path / "t.emad", np.array([1.0, np.nan]))
