@@ -122,8 +122,8 @@ def check_grpo(seed: int) -> float:
     pol = policy.ReportPolicy()
     ref = policy.ReportPolicy()
     for params in (pol.params, ref.params):
-        for key in params:
-            params[key] = rng.normal(0, 0.3, params[key].shape)
+        for view in params.values():
+            view[...] = rng.normal(0, 0.3, view.shape)
     features = rng.normal(size=policy.FEATURE_DIM)
     group = policy.SampleGroup("synthetic", features)
     for _ in range(4):
@@ -141,21 +141,16 @@ def check_grpo(seed: int) -> float:
         group.rollouts.append(rollout)
     lw = policy.grpo_loss(group, pol, ref, epsilon=0.2, beta=0.1)
 
-    worst = 0.0
-    for name in pol.params:
-        def f(x, name=name):
-            old = pol.params[name]
-            pol.params[name] = x
-            value = policy.grpo_loss(group, pol, ref, epsilon=0.2, beta=0.1).value
-            pol.params[name] = old
-            return value
-
-        worst = max(worst, _masked_fd_error(f, pol.params[name].copy(), lw.grads[name]))
-    return worst
+    # every entry of pol.flat is perturbed in place: 1 + 2 * 731 loss calls
+    return _masked_fd_error(
+        lambda _: policy.grpo_loss(group, pol, ref, epsilon=0.2, beta=0.1).value,
+        pol.flat,
+        lw.grads["flat"],
+    )
 
 
 def _masked_fd_error(f, x: np.ndarray, grad: np.ndarray, h: float = 1e-5) -> float:
-    """Relative FD error over resolvable entries.
+    """Relative FD error over resolvable entries of ``x``, perturbed in place.
 
     Central differences at h=1e-5 carry ~1e-10 absolute noise for O(1)
     functions, so entries where both estimates are below 1e-6 are checked

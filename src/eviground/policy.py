@@ -6,18 +6,30 @@ per-biomarker mention/status, sentence ordering), each a linear map from
 a patient-feature vector. A rollout's log-probability is the sum of its
 chosen-slot log-probabilities, so the sequence-level importance ratio is
 exact, and the KL to the reference policy has a closed form per slot.
+
+Parameter layout: the 11 slots have 43 choices in all, and every weight
+lives in one float64 vector, ``ReportPolicy.flat`` (731 scalars): the
+(43, 16) matrix ``W`` with one row per choice in slot order, then the 43
+biases ``b``. ``ReportPolicy.params`` names read-only views into it
+(``diagnosis.w``, ``diagnosis.b``, ...); ``grpo_loss`` returns a gradient of
+the same layout. Logits fill an (11, 5) slot table padded with ``-inf``, so
+the softmax, the sampling CDFs and the per-slot KL are row operations on the
+whole table; a zero-padded row sum rounds as ``np.sum`` over the slot alone.
+Checkpoints keep one EMAD file per name, so the flat layout never reaches
+the disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from . import phrases, tensorio
-from .errors import ValidationError
-from .losses import LossWithGrad, softmax
+from .errors import DimMismatchError, ValidationError
+from .losses import LossWithGrad
 from .records import BIOMARKERS, COGNITIVE_DOMAINS, PatientRecord
 from .report import parse_report, render_report
 from .rules import (
@@ -30,6 +42,8 @@ from .rules import (
 
 RATIO_EXPONENT_CLAMP = 30.0
 ADVANTAGE_STD_FLOOR = 1e-8
+# floor only guards 0*log(0) under extreme softmax underflow
+LOG_PROB_FLOOR = 1e-300
 
 _DIAGNOSIS_CHOICES = ("CN", "MCI", "Dementia")
 _CONCLUSION_CHOICES = ("CN", "MCI", "Dementia", "omit")
@@ -88,60 +102,115 @@ def patient_features(p: PatientRecord) -> np.ndarray:
 
 FEATURE_DIM = 16
 
+_SLOT_NAMES = tuple(name for name, _ in slot_layout())
+_SLOT_SIZES = np.array([len(choices) for _, choices in slot_layout()])
+N_SLOTS = len(_SLOT_NAMES)
+N_CHOICES = int(_SLOT_SIZES.sum())
+# index of each slot's first choice in the 43 choices
+_SLOT_START = np.cumsum(_SLOT_SIZES) - _SLOT_SIZES
+# cells of the (slot, option) table that hold a choice; row-major is slot order
+_IN_SLOT = np.arange(_SLOT_SIZES.max()) < _SLOT_SIZES[:, None]
+_SLOT_OF_CHOICE = np.repeat(np.arange(N_SLOTS), _SLOT_SIZES)
+_W_SIZE = N_CHOICES * FEATURE_DIM
+
+
+def _slot_table(values: np.ndarray) -> np.ndarray:
+    """Per-choice values laid out as the (slot, option) table, padded with 0."""
+    table = np.zeros(_IN_SLOT.shape)
+    table[_IN_SLOT] = values
+    return table
+
+
+def _named_views(vec: np.ndarray) -> dict[str, np.ndarray]:
+    """Named per-slot views into a vector laid out like ``ReportPolicy.flat``."""
+    w = vec[:_W_SIZE].reshape(N_CHOICES, FEATURE_DIM)
+    b = vec[_W_SIZE:]
+    views = {}
+    for name, start, size in zip(_SLOT_NAMES, _SLOT_START, _SLOT_SIZES):
+        views[f"{name}.w"] = w[start : start + size]
+        views[f"{name}.b"] = b[start : start + size]
+    return views
+
+
+def _slot_kl(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot KL(p || q) and the per-choice log-ratio log(p / q), floored."""
+    log_ratio = np.log(np.maximum(p, LOG_PROB_FLOOR)) - np.log(np.maximum(q, LOG_PROB_FLOOR))
+    return _slot_table(p * log_ratio).sum(axis=1), log_ratio
+
+
+def _chosen(choices: dict[str, int]) -> np.ndarray:
+    """Positions of a rollout's choices among the 43."""
+    return _SLOT_START + [choices[name] for name in _SLOT_NAMES]
+
 
 class ReportPolicy:
     """Per-slot logits = W @ features + b; zero init is uniform sampling.
 
     Status sentences report the record's thresholded measurement, so the
     policy chooses coverage and conclusions, not the measurements.
+
+    ``flat`` holds every weight; ``params`` names read-only views into it.
     """
 
     def __init__(self, seed: int = 0, rules: RuleConfig | None = None):
         self.seed = seed
         self.rules = rules or RuleConfig()
         self.slots = slot_layout()
-        self.params: dict[str, np.ndarray] = {}
-        for name, choices in self.slots:
-            self.params[f"{name}.w"] = np.zeros((len(choices), FEATURE_DIM))
-            self.params[f"{name}.b"] = np.zeros(len(choices))
+        self.flat = np.zeros(_W_SIZE + N_CHOICES)
+        self.params = MappingProxyType(_named_views(self.flat))
+        # logits table reused by every ``probs`` call; padding stays -inf
+        self._logits = np.full(_IN_SLOT.shape, -np.inf)
+        self._slot_rows = [
+            (self.params[f"{name}.w"], self.params[f"{name}.b"], row[:size])
+            for name, size, row in zip(_SLOT_NAMES, _SLOT_SIZES, self._logits)
+        ]
 
     def copy(self) -> "ReportPolicy":
         clone = ReportPolicy(self.seed, self.rules)
-        clone.params = {k: v.copy() for k, v in self.params.items()}
+        clone.flat[...] = self.flat
         return clone
 
-    def slot_probs(self, name: str, features: np.ndarray) -> np.ndarray:
-        logits = self.params[f"{name}.w"] @ features + self.params[f"{name}.b"]
-        return softmax(logits)
-
-    def all_probs(self, features: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: self.slot_probs(name, features) for name, _ in self.slots}
+    def probs(self, features: np.ndarray) -> np.ndarray:
+        """Choice probabilities of every slot, the 43 in slot order."""
+        # one product per slot: a stacked W @ features rounds differently
+        for w, b, row in self._slot_rows:
+            np.matmul(w, features, out=row)
+            row += b
+        logits = self._logits
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return (e / e.sum(axis=1, keepdims=True))[_IN_SLOT]
 
     def log_prob(self, choices: dict[str, int], features: np.ndarray) -> float:
-        total = 0.0
-        for name, _ in self.slots:
-            p = self.slot_probs(name, features)
-            total += float(np.log(max(p[choices[name]], 1e-300)))
-        return total
+        p = self.probs(features)[_chosen(choices)]
+        return sum(np.log(np.maximum(p, LOG_PROB_FLOOR)).tolist())
 
-    def sample(self, features: np.ndarray, rng) -> tuple[dict[str, int], float]:
-        choices = {}
-        logprob = 0.0
-        for name, opts in self.slots:
-            p = self.slot_probs(name, features)
-            idx = int(rng.choice(len(opts), p=p))
-            choices[name] = idx
-            logprob += float(np.log(p[idx]))
-        return choices, logprob
+    def sample(
+        self, features: np.ndarray, rng, g: int
+    ) -> list[tuple[dict[str, int], float]]:
+        """``g`` rollouts' slot choices with their log-probabilities.
+
+        One ``rng.random((g, 11))`` draw is inverted through each slot's
+        normalized CDF, which consumes the stream exactly as ``g * 11``
+        calls of ``rng.choice`` with each slot's probabilities do and picks
+        the same options.
+        """
+        p = self.probs(features)
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("policy probabilities are not finite")
+        cdf = np.cumsum(_slot_table(p), axis=1)
+        cdf /= cdf[:, -1:]
+        u = rng.random((g, N_SLOTS))
+        picks = np.count_nonzero(cdf <= u[:, :, None], axis=2)
+        logps = np.log(p[_SLOT_START + picks])
+        return [
+            (dict(zip(_SLOT_NAMES, row)), sum(logp))
+            for row, logp in zip(picks.tolist(), logps.tolist())
+        ]
 
     def mean_kl_to(self, ref: "ReportPolicy", features: np.ndarray) -> float:
         """Exact categorical KL(self || ref), averaged over slots."""
-        total = 0.0
-        for name, _ in self.slots:
-            p = self.slot_probs(name, features)
-            q = ref.slot_probs(name, features)
-            total += float(np.sum(p * (np.log(p) - np.log(q))))
-        return total / len(self.slots)
+        kl, _ = _slot_kl(self.probs(features), ref.probs(features))
+        return sum(kl.tolist()) / N_SLOTS
 
     # --- rendering -------------------------------------------------------------
 
@@ -182,9 +251,22 @@ class ReportPolicy:
 
     @classmethod
     def load(cls, directory: str | Path) -> "ReportPolicy":
+        """Rebuild a saved policy; its tensors must match the slot layout."""
         params, meta = tensorio.load_params(directory)
         pol = cls(meta.get("seed", 0))
-        pol.params = params
+        missing = sorted(pol.params.keys() - params.keys())
+        if missing:
+            raise ValidationError(f"{directory}: policy checkpoint lacks tensors {missing}")
+        unknown = sorted(params.keys() - pol.params.keys())
+        if unknown:
+            raise ValidationError(f"{directory}: policy checkpoint has unknown tensors {unknown}")
+        for name, view in pol.params.items():
+            if params[name].shape != view.shape:
+                raise DimMismatchError(
+                    f"{directory}: tensor {name} has shape {params[name].shape}, "
+                    f"the slot layout needs {view.shape}"
+                )
+            view[...] = params[name]
         return pol
 
 
@@ -219,8 +301,7 @@ def sample_group(policy: ReportPolicy, patient: PatientRecord, g: int, seed) -> 
     rng = np.random.default_rng(seed)
     features = patient_features(patient)
     group = SampleGroup(patient.id, features)
-    for _ in range(g):
-        choices, logprob = policy.sample(features, rng)
+    for choices, logprob in policy.sample(features, rng, g):
         group.rollouts.append(Rollout(choices, policy.render(patient, choices), logprob))
     return group
 
@@ -260,28 +341,28 @@ def grpo_loss(
     epsilon: float = 0.2,
     beta: float = 0.1,
 ) -> LossWithGrad:
-    """Clipped surrogate plus exact per-slot KL anchor, with policy grads."""
+    """Clipped surrogate plus exact per-slot KL anchor; ``grads["flat"]`` is the
+    gradient in the layout of ``policy.flat``."""
     if not 0.0 < epsilon < 1.0:
         raise ValidationError("epsilon must be in (0, 1)")
     if beta < 0.0:
         raise ValidationError("beta must be nonnegative")
     features = group.features
     g = len(group.rollouts)
-    probs = policy.all_probs(features)
-    grads = {k: np.zeros_like(v) for k, v in policy.params.items()}
-    dlogits = {name: np.zeros_like(probs[name]) for name, _ in policy.slots}
+    p = policy.probs(features)
+    dlogits = np.zeros(N_CHOICES)
 
     surrogate = 0.0
     for rollout in group.rollouts:
-        new_lp = sum(
-            float(np.log(probs[name][rollout.choices[name]])) for name, _ in policy.slots
-        )
+        chosen = _chosen(rollout.choices)
+        new_lp = sum(np.log(p[chosen]).tolist())
         delta = new_lp - rollout.old_logprob
-        clamped = np.clip(delta, -RATIO_EXPONENT_CLAMP, RATIO_EXPONENT_CLAMP)
+        # min/max clip exactly as np.clip does, without its per-call overhead
+        clamped = min(max(delta, -RATIO_EXPONENT_CLAMP), RATIO_EXPONENT_CLAMP)
         rho = float(np.exp(clamped))
         a = rollout.advantage
         unclipped = rho * a
-        clipped = float(np.clip(rho, 1.0 - epsilon, 1.0 + epsilon)) * a
+        clipped = min(max(rho, 1.0 - epsilon), 1.0 + epsilon) * a
         surrogate += -min(unclipped, clipped) / g
         # active branch's d/d(new_lp); the clipped branch is flat outside the band
         if unclipped <= clipped:
@@ -289,29 +370,18 @@ def grpo_loss(
         else:
             coeff = -a * rho / g if (1.0 - epsilon) <= rho <= (1.0 + epsilon) else 0.0
         if coeff != 0.0:
-            for name, _ in policy.slots:
-                p = probs[name]
-                onehot = np.zeros_like(p)
-                onehot[rollout.choices[name]] = 1.0
-                dlogits[name] += coeff * (onehot - p)
+            onehot = np.zeros(N_CHOICES)
+            onehot[chosen] = 1.0
+            dlogits += coeff * (onehot - p)
 
     kl_total = 0.0
     if beta > 0.0:
-        n_slots = len(policy.slots)
-        for name, _ in policy.slots:
-            p = probs[name]
-            q = ref_policy.slot_probs(name, features)
-            # floor only guards 0*log(0) under extreme softmax underflow
-            lp, lq = np.log(np.maximum(p, 1e-300)), np.log(np.maximum(q, 1e-300))
-            kl_slot = float(np.sum(p * (lp - lq)))
-            kl_total += kl_slot
-            dlogits[name] += (beta / n_slots) * p * ((lp - lq) - kl_slot)
-        kl_total /= n_slots
+        kl_slot, log_ratio = _slot_kl(p, ref_policy.probs(features))
+        kl_total = sum(kl_slot.tolist()) / N_SLOTS
+        dlogits += (beta / N_SLOTS) * p * (log_ratio - kl_slot[_SLOT_OF_CHOICE])
 
-    for name, _ in policy.slots:
-        grads[f"{name}.w"] = np.outer(dlogits[name], features)
-        grads[f"{name}.b"] = dlogits[name]
-    return LossWithGrad(surrogate + beta * kl_total, grads)
+    grad = np.concatenate((np.outer(dlogits, features).ravel(), dlogits))
+    return LossWithGrad(surrogate + beta * kl_total, {"flat": grad})
 
 
 @dataclass
@@ -354,8 +424,7 @@ def train_rft(
         group = sample_group(policy, patient, cfg.group_size, rng.integers(2**63))
         score_group(group, patient, rule_cfg, scorer)
         loss = grpo_loss(group, policy, ref, cfg.epsilon, cfg.beta)
-        for name, grad in loss.grads.items():
-            policy.params[name] -= cfg.lr * grad
+        policy.flat -= cfg.lr * loss.grads["flat"]
         breakdowns = [r.reward for r in group.rollouts]
         rows.append(
             {

@@ -10,20 +10,23 @@ Forward passes cache every intermediate so the backward pass can be
 written by hand (no autodiff graph).
 
 Parameter layout: every trainable tensor lives in one contiguous float64
-vector, ``SegDecoder.flat``; ``SegDecoder.params`` maps each name to a
-reshaped view into it (per layer ``l{i}.sa_*``, ``l{i}.ca_*``, ``l{i}.ff_*``,
-``l{i}.ln{1,2,3}_*``, then ``lnf_*`` and ``head_*``, 52,480 scalars at the
-default config). ``backward`` accumulates into one zeroed vector of the same
-layout, and ``Adam`` keeps its moments as two more such vectors and updates
-the whole vector in place, one ufunc at a time. Checkpoints keep one EMAD
-file per name, so the flat layout never reaches the disk.
+vector, ``SegDecoder.flat``; ``SegDecoder.params`` is a read-only map from
+each name to a reshaped view into it (per layer ``l{i}.sa_*``, ``l{i}.ca_*``,
+``l{i}.ff_*``, ``l{i}.ln{1,2,3}_*``, then ``lnf_*`` and ``head_*``, 52,480
+scalars at the default config). ``backward`` accumulates into one zeroed
+vector of the same layout, and ``Adam`` keeps its moments as two more such
+vectors and updates the whole vector in place, one ufunc at a time.
+Checkpoints keep one EMAD file per name, so the flat layout never reaches
+the disk.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -187,7 +190,7 @@ class SegDecoder:
         d, h = c.token_dim, c.ffn_hidden
         self._slots = _layout(c)
         self.flat = np.zeros(self._slots[-1][2])
-        self.params = self.views(self.flat)
+        self.params = MappingProxyType(self.views(self.flat))
         p = self.params
         # draw order is part of the seed contract: keep it when adding tensors
         for i in range(c.layers):
@@ -345,6 +348,12 @@ class SegDecoder:
         """Rebuild a saved decoder; its tensors must match the config's layout."""
         params, meta = tensorio.load_params(directory)
         meta.pop("kind", None)
+        unknown = sorted(meta.keys() - {f.name for f in dataclasses.fields(SegDecoderConfig)})
+        if unknown:
+            raise ValidationError(f"{directory}: decoder manifest has unknown keys {unknown}")
+        not_int = sorted(k for k, v in meta.items() if type(v) is not int)
+        if not_int:
+            raise ValidationError(f"{directory}: decoder manifest keys {not_int} are not integers")
         dec = cls(SegDecoderConfig(**meta))
         missing = sorted(dec.params.keys() - params.keys())
         if missing:

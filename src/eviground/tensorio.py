@@ -49,8 +49,12 @@ def load_tensor(path: str | Path) -> np.ndarray:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValidationError(f"{path}: bad magic bytes {magic!r}")
-        (rank,) = struct.unpack("<B", fh.read(1))
-        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        rank_byte = fh.read(1)
+        rank = rank_byte[0] if rank_byte else 0
+        extents = fh.read(4 * rank)
+        if not rank_byte or len(extents) != 4 * rank:
+            raise ValidationError(f"{path}: truncated header")
+        dims = struct.unpack(f"<{rank}I", extents)
         if any(d <= 0 for d in dims):
             raise ValidationError(f"{path}: non-positive extent in {dims}")
         n = int(np.prod(dims))
@@ -85,9 +89,15 @@ def load_params(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         from .errors import MissingCheckpointError
 
         raise MissingCheckpointError(f"no manifest at {manifest_path}")
-    with open(manifest_path) as fh:
-        meta = json.load(fh)
-    params = {name: load_tensor(directory / f"{name}.emad") for name in meta.pop("params")}
+    try:
+        with open(manifest_path) as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{manifest_path}: not JSON ({exc})") from exc
+    names = meta.pop("params", None) if isinstance(meta, dict) else None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValidationError(f"{manifest_path}: no list of parameter names under 'params'")
+    params = {name: load_tensor(directory / f"{name}.emad") for name in names}
     return params, meta
 
 

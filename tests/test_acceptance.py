@@ -113,8 +113,8 @@ def test_criterion_3_grpo_invariants():
     assert np.all(P.normalize_advantages(np.full(4, 0.7)) == 0.0)
 
     pol = P.ReportPolicy()
-    for key in pol.params:
-        pol.params[key] = rng.normal(0, 0.2, pol.params[key].shape)
+    for view in pol.params.values():
+        view[...] = rng.normal(0, 0.2, view.shape)
     features = rng.normal(size=P.FEATURE_DIM)
 
     def make_group(advantages, rhos):

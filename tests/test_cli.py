@@ -7,6 +7,7 @@ import pytest
 
 from eviground import tensorio
 from eviground.cli import cli_main
+from eviground.policy import ReportPolicy
 from eviground.segdecoder import SegDecoder
 from eviground.textenc import Embedder
 
@@ -323,3 +324,46 @@ def test_decoder_checkpoint_wrong_shape_exits_1(tmp_path, cohort_dir, sea_checkp
     tensorio.save_tensor(sea_checkpoint / "decoder" / "l0.sa_wq.emad", np.ones((3, 32)))
     err = _eval_grounding_error(cohort_dir, sea_checkpoint, tmp_path / "eval", capsys)
     assert "l0.sa_wq" in err and "(3, 32)" in err
+
+
+@pytest.fixture
+def policy_checkpoint(tmp_path):
+    """An untrained policy checkpoint laid out as train-grpo writes it."""
+    root = tmp_path / "policy"
+    ReportPolicy().save(root)
+    return root
+
+
+def _eval_consistency_error(cohort_dir, policy_dir, out, capsys) -> str:
+    code = cli_main(
+        ["eval-consistency", "--cohort", str(cohort_dir), "--policy", str(policy_dir),
+         "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_policy_checkpoint_missing_tensor_exits_1(tmp_path, cohort_dir, policy_checkpoint, capsys):
+    manifest_path = policy_checkpoint / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["params"].remove("diagnosis.w")
+    manifest_path.write_text(json.dumps(manifest))
+    err = _eval_consistency_error(cohort_dir, policy_checkpoint, tmp_path / "eval", capsys)
+    assert "diagnosis.w" in err
+
+
+def test_policy_checkpoint_wrong_shape_exits_1(tmp_path, cohort_dir, policy_checkpoint, capsys):
+    tensorio.save_tensor(policy_checkpoint / "diagnosis.w.emad", np.ones((2, 16)))
+    err = _eval_consistency_error(cohort_dir, policy_checkpoint, tmp_path / "eval", capsys)
+    assert "diagnosis.w" in err and "(2, 16)" in err
+
+
+def test_policy_checkpoint_truncated_header_exits_1(
+    tmp_path, cohort_dir, policy_checkpoint, capsys
+):
+    path = policy_checkpoint / "order.b.emad"
+    path.write_bytes(path.read_bytes()[:7])
+    err = _eval_consistency_error(cohort_dir, policy_checkpoint, tmp_path / "eval", capsys)
+    assert "truncated header" in err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eviground import policy as P
 from eviground.errors import ValidationError
+from eviground.losses import softmax
 from eviground.report import parse_report
 
 
@@ -126,8 +127,8 @@ class TestGrpoLoss:
     def test_clip_inactivity(self):
         pol = P.ReportPolicy(seed=1)
         rng = np.random.default_rng(3)
-        for key in pol.params:
-            pol.params[key] = rng.normal(0, 0.2, pol.params[key].shape)
+        for view in pol.params.values():
+            view[...] = rng.normal(0, 0.2, view.shape)
         features = rng.normal(size=P.FEATURE_DIM)
         rhos = [1.05, 0.9, 1.15, 0.85]
         group = _group_with(pol, features, rng.normal(size=4), rho=rhos)
@@ -143,8 +144,8 @@ class TestGrpoLoss:
     def test_reward_shift_invariance_of_gradient(self):
         pol = P.ReportPolicy(seed=2)
         rng = np.random.default_rng(4)
-        for key in pol.params:
-            pol.params[key] = rng.normal(0, 0.2, pol.params[key].shape)
+        for view in pol.params.values():
+            view[...] = rng.normal(0, 0.2, view.shape)
         features = rng.normal(size=P.FEATURE_DIM)
         rewards = np.array([0.9, 0.2, 0.4, 0.7])
         for shift in (0.0, 5.0):
@@ -173,11 +174,9 @@ class TestTrainRft:
         for rollout in group.rollouts:
             rollout.advantage = 0.0
         lw = P.grpo_loss(group, pol, pol.copy(), 0.2, beta=0.0)
-        before = {k: v.copy() for k, v in pol.params.items()}
-        for key, grad in lw.grads.items():
-            pol.params[key] -= 0.05 * grad
-        for key in before:
-            np.testing.assert_array_equal(pol.params[key], before[key])
+        before = pol.flat.copy()
+        pol.flat -= 0.05 * lw.grads["flat"]
+        np.testing.assert_array_equal(pol.flat, before)
 
     def test_reward_log_columns(self, small_cohort):
         from eviground.rules import LexicalEntailmentScorer
@@ -215,13 +214,154 @@ class TestTrainRft:
     def test_checkpoint_roundtrip(self, tmp_path, patient):
         pol = P.ReportPolicy(seed=4)
         rng = np.random.default_rng(0)
-        for key in pol.params:
-            pol.params[key] = rng.normal(0, 0.2, pol.params[key].shape)
+        for view in pol.params.values():
+            view[...] = rng.normal(0, 0.2, view.shape)
         pol.save(tmp_path / "policy")
         back = P.ReportPolicy.load(tmp_path / "policy")
         a = P.sample_group(pol, patient, 4, seed=1)
         b = P.sample_group(back, patient, 4, seed=1)
         assert [r.choices for r in a.rollouts] == [r.choices for r in b.rollouts]
+
+
+def _per_slot_probs(pol, name, features):
+    """The per-slot softmax the flat layout replaced, on separate arrays."""
+    return softmax(pol.params[f"{name}.w"].copy() @ features + pol.params[f"{name}.b"].copy())
+
+
+def _per_slot_sample(pol, features, rng):
+    choices, logprob = {}, 0.0
+    for name, opts in pol.slots:
+        p = _per_slot_probs(pol, name, features)
+        idx = int(rng.choice(len(opts), p=p))
+        choices[name] = idx
+        logprob += float(np.log(p[idx]))
+    return choices, logprob
+
+
+def _per_slot_mean_kl(pol, ref, features):
+    total = 0.0
+    for name, _ in pol.slots:
+        p = _per_slot_probs(pol, name, features)
+        q = _per_slot_probs(ref, name, features)
+        total += float(np.sum(p * (np.log(p) - np.log(q))))
+    return total / len(pol.slots)
+
+
+def _per_slot_grpo_loss(group, pol, ref, epsilon, beta):
+    """Value and flat gradient of the per-slot GRPO loss, term for term."""
+    features = group.features
+    g = len(group.rollouts)
+    probs = {name: _per_slot_probs(pol, name, features) for name, _ in pol.slots}
+    dlogits = {name: np.zeros_like(p) for name, p in probs.items()}
+    surrogate = 0.0
+    for rollout in group.rollouts:
+        new_lp = sum(float(np.log(probs[name][rollout.choices[name]])) for name, _ in pol.slots)
+        delta = new_lp - rollout.old_logprob
+        clamped = np.clip(delta, -P.RATIO_EXPONENT_CLAMP, P.RATIO_EXPONENT_CLAMP)
+        rho = float(np.exp(clamped))
+        a = rollout.advantage
+        unclipped = rho * a
+        clipped = float(np.clip(rho, 1.0 - epsilon, 1.0 + epsilon)) * a
+        surrogate += -min(unclipped, clipped) / g
+        if unclipped <= clipped:
+            coeff = 0.0 if clamped != delta else -a * rho / g
+        else:
+            coeff = -a * rho / g if (1.0 - epsilon) <= rho <= (1.0 + epsilon) else 0.0
+        if coeff != 0.0:
+            for name, _ in pol.slots:
+                onehot = np.zeros_like(probs[name])
+                onehot[rollout.choices[name]] = 1.0
+                dlogits[name] += coeff * (onehot - probs[name])
+    kl_total = 0.0
+    if beta > 0.0:
+        n_slots = len(pol.slots)
+        for name, _ in pol.slots:
+            p = probs[name]
+            q = _per_slot_probs(ref, name, features)
+            lp, lq = np.log(np.maximum(p, 1e-300)), np.log(np.maximum(q, 1e-300))
+            kl_slot = float(np.sum(p * (lp - lq)))
+            kl_total += kl_slot
+            dlogits[name] += (beta / n_slots) * p * ((lp - lq) - kl_slot)
+        kl_total /= n_slots
+    grad = np.concatenate(
+        [np.outer(dlogits[name], features).ravel() for name, _ in pol.slots]
+        + [dlogits[name] for name, _ in pol.slots]
+    )
+    return surrogate + beta * kl_total, grad
+
+
+class TestFlatLayout:
+    def test_views_share_flat(self):
+        pol = P.ReportPolicy()
+        assert pol.flat.size == (P.FEATURE_DIM + 1) * P.N_CHOICES == 731
+        assert (P.N_SLOTS, P.N_CHOICES) == (11, 43)
+        assert sum(view.size for view in pol.params.values()) == pol.flat.size
+        for name, view in pol.params.items():
+            assert np.shares_memory(view, pol.flat), name
+        assert not np.shares_memory(pol.copy().flat, pol.flat)
+
+    def test_params_read_only(self):
+        pol = P.ReportPolicy()
+        with pytest.raises(TypeError):
+            pol.params["diagnosis.b"] = np.ones(3)
+
+    def test_bitwise_equal_to_per_slot_reference(self):
+        for i in range(50):
+            rng = np.random.default_rng(i)
+            scale = float(np.exp(rng.uniform(np.log(0.01), np.log(30.0))))
+            pol, ref = P.ReportPolicy(), P.ReportPolicy()
+            for q in (pol, ref):
+                q.flat[...] = rng.normal(0, scale, q.flat.size)
+            features = rng.normal(size=P.FEATURE_DIM)
+
+            draw_rng = np.random.default_rng(100 + i)
+            expected = [_per_slot_sample(pol, features, draw_rng) for _ in range(4)]
+            got = pol.sample(features, np.random.default_rng(100 + i), 4)
+            assert got == expected
+
+            group = P.SampleGroup("p", features)
+            for choices, logprob in got:
+                # log-ratio scales 0.3, 3 and 30 reach the clip band and the clamp
+                offset = rng.normal(0, 0.3 * 10.0 ** rng.integers(0, 3))
+                rollout = P.Rollout(choices, "", logprob - offset)
+                rollout.advantage = float(rng.normal())
+                group.rollouts.append(rollout)
+            beta = (0.0, 0.1, 1.0)[i % 3]
+            value, grad = _per_slot_grpo_loss(group, pol, ref, 0.2, beta)
+            lw = P.grpo_loss(group, pol, ref, 0.2, beta)
+            assert lw.value == value
+            np.testing.assert_array_equal(lw.grads["flat"], grad)
+            assert pol.mean_kl_to(ref, features) == _per_slot_mean_kl(pol, ref, features)
+
+    def test_mean_kl_finite_for_saturated_policy(self):
+        pol = P.ReportPolicy()
+        pol.params["diagnosis.b"][0] = 1000.0  # exp(-1000) underflows to 0
+        features = np.zeros(P.FEATURE_DIM)
+        assert np.count_nonzero(pol.probs(features) == 0.0) == 2
+        kl = pol.mean_kl_to(P.ReportPolicy(), features)
+        assert kl == pytest.approx(math.log(3.0) / P.N_SLOTS, rel=1e-12)
+
+    def test_non_finite_probabilities_rejected(self):
+        pol = P.ReportPolicy()
+        pol.params["order.b"][0] = np.inf
+        with pytest.raises(ValidationError), np.errstate(invalid="ignore"):
+            pol.sample(np.zeros(P.FEATURE_DIM), np.random.default_rng(0), 4)
+
+    def test_check_grpo_evaluates_loss_once_plus_twice_per_entry(self, monkeypatch):
+        from eviground.gradcheck import check_grpo
+
+        calls = []
+        loss = P.grpo_loss
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return loss(*args, **kwargs)
+
+        monkeypatch.setattr(P, "grpo_loss", counted)
+        for seed in (0, 1):
+            calls.clear()
+            check_grpo(seed)
+            assert len(calls) == 1 + 2 * P.ReportPolicy().flat.size
 
 
 class TestFormatRewardTargetedRun:

@@ -1,5 +1,7 @@
 """Mask decoder contracts: shapes, ablation identity, determinism, grads."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,21 @@ def test_checkpoint_roundtrip(tmp_path, tiny):
     assert all(np.shares_memory(view, back.flat) for view in back.params.values())
     got = decode_mask(back, tokens, evidence)
     np.testing.assert_allclose(got, ref, atol=1e-5)  # f32 serialization
+
+
+@pytest.mark.parametrize("key, value", [("heads", 2), ("layers", "2")])
+def test_load_rejects_bad_manifest_dims(tmp_path, tiny, key, value):
+    dec, _, _ = tiny
+    dec.save(tmp_path / "dec")
+    manifest_path = tmp_path / "dec" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match=key):
+        SegDecoder.load(tmp_path / "dec")
+
+
+def test_params_read_only(tiny):
+    dec, _, _ = tiny
+    with pytest.raises(TypeError):
+        dec.params["head_b"] = np.zeros_like(dec.params["head_b"])

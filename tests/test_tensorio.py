@@ -1,5 +1,7 @@
 """Binary tensor format round-trips and failure modes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,15 @@ def test_truncated_payload_rejected(tmp_path):
         tensorio.load_tensor(path)
 
 
+@pytest.mark.parametrize("keep", [4, 5, 7, 12])
+def test_truncated_header_rejected(tmp_path, keep):
+    path = tmp_path / "t.emad"
+    tensorio.save_tensor(path, np.ones((4, 4)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValidationError, match="truncated header"):
+        tensorio.load_tensor(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "t.emad"
     tensorio.save_tensor(path, np.ones((4, 4)))
@@ -63,3 +74,22 @@ def test_param_dir_roundtrip(tmp_path):
     assert meta["seed"] == 7
     assert set(back) == {"a", "b"}
     np.testing.assert_allclose(back["a"], params["a"])
+
+
+def _saved_manifest(tmp_path):
+    tensorio.save_params(tmp_path / "ckpt", {"a": np.ones(2)}, {"kind": "test"})
+    return tmp_path / "ckpt" / "manifest.json"
+
+
+def test_manifest_not_json_rejected(tmp_path):
+    manifest = _saved_manifest(tmp_path)
+    manifest.write_text(manifest.read_text()[:-3])
+    with pytest.raises(ValidationError, match="not JSON"):
+        tensorio.load_params(tmp_path / "ckpt")
+
+
+def test_manifest_without_params_rejected(tmp_path):
+    manifest = _saved_manifest(tmp_path)
+    manifest.write_text(json.dumps({"kind": "test"}))
+    with pytest.raises(ValidationError, match="params"):
+        tensorio.load_params(tmp_path / "ckpt")
