@@ -53,7 +53,7 @@ def main():
     print(f"l_se {curves['l_se'][0]:.4f} -> {curves['l_se'][-1]:.4f} in {time.time() - t:.1f}s")
 
     t = stage("distill student  (eviground distill)")
-    teacher = TeacherGrounder(emb, tau=cfg.grounder.tau, decoder=dec, trained=True)
+    teacher = TeacherGrounder(emb, tau=cfg.grounder.tau, trained=True)
     student, curve = train_student(
         generated_reports_for(cohort, cohort.split["train"]), teacher, cfg.distill
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gradcheck, metrics
 from .cohort import Cohort, generate_cohort
-from .config import RunConfig
+from .config import RunConfig, check_seed
 from .distill import (
     TeacherGrounder,
     generated_reports_for,
@@ -78,7 +78,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--iters", type=int)
-    p.add_argument("--plots", action="store_true")
 
     p = add("score-report", help="print a reward breakdown JSON for one report")
     p.add_argument("--report", required=True)
@@ -90,7 +89,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True, help="train-sea output directory")
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--plots", action="store_true")
 
     p = add("eval-consistency", help="accuracy/format/guideline/entailment table")
     p.add_argument("--cohort", required=True)
@@ -108,9 +106,7 @@ def _build_parser() -> _Parser:
 def _resolve_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        if args.seed < 0 or args.seed >= 2**64:
-            raise ValidationError("--seed must be an unsigned 64-bit integer")
-        cfg.seed = args.seed
+        cfg.seed = check_seed(args.seed, "--seed")
     return cfg
 
 
@@ -120,15 +116,10 @@ def _write_run_json(out: Path, command: str, cfg: RunConfig) -> None:
     (out / "run.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_checkpoint(path: str) -> tuple[Embedder, SegDecoder | None]:
-    root = Path(path)
+def _load_embedder(root: Path) -> Embedder:
     if not (root / "embedder" / "manifest.json").exists():
         raise MissingCheckpointError(f"no embedder checkpoint under {root}")
-    emb = Embedder.load(root / "embedder")
-    dec = None
-    if (root / "decoder" / "manifest.json").exists():
-        dec = SegDecoder.load(root / "decoder")
-    return emb, dec
+    return Embedder.load(root / "embedder")
 
 
 def _cmd_generate_cohort(args) -> int:
@@ -186,8 +177,8 @@ def _cmd_distill(args) -> int:
     cfg = _resolve_config(args)
     cfg.distill.seed = cfg.seed
     cohort = Cohort.load(args.cohort)
-    emb, dec = _load_checkpoint(args.teacher)
-    teacher = TeacherGrounder(emb, tau=cfg.grounder.tau, decoder=dec, trained=True)
+    emb = _load_embedder(Path(args.teacher))
+    teacher = TeacherGrounder(emb, tau=cfg.grounder.tau, trained=True)
     reports = generated_reports_for(cohort, cohort.split["train"])
     student, curve = train_student(reports, teacher, cfg.distill)
     out = Path(args.out)
@@ -205,6 +196,7 @@ def _cmd_distill(args) -> int:
 def _cmd_label_efficiency(args) -> int:
     cfg = _resolve_config(args)
     cfg.distill.seed = cfg.seed
+    cfg.grounder.seed = cfg.seed
     try:
         fractions = [float(x) for x in args.fractions.split(",") if x]
     except ValueError as exc:
@@ -246,8 +238,6 @@ def _cmd_train_grpo(args) -> int:
         rows,
         ["iter", "mean_reward", "r_format", "r_nia", "r_consistency", "kl_ref"],
     )
-    if args.plots:
-        _plot_reward_curve(rows, out / "plots")
     print(f"mean reward {rows[0]['mean_reward']:.3f} -> {rows[-1]['mean_reward']:.3f}")
     return 0
 
@@ -259,13 +249,7 @@ def _cmd_score_report(args) -> int:
         raise ValidationError(f"unknown patient {args.patient!r}")
     text = Path(args.report).read_text()
     record = cohort.records[args.patient]
-    if args.config:
-        try:
-            rules = RuleConfig.load(args.config)
-        except TypeError as exc:
-            raise ValidationError(f"{args.config}: not a rules.json ({exc})") from exc
-    else:
-        rules = cohort.rules
+    rules = RuleConfig.load(args.config) if args.config else cohort.rules
     breakdown = total_reward(
         parse_report(text), record, rules, LexicalEntailmentScorer(rules)
     )
@@ -276,13 +260,14 @@ def _cmd_score_report(args) -> int:
 def _cmd_eval_grounding(args) -> int:
     cfg = _resolve_config(args)
     cohort = Cohort.load(args.cohort)
-    emb, dec = _load_checkpoint(args.checkpoint)
+    root = Path(args.checkpoint)
+    emb = _load_embedder(root)
+    dec_dir = root / "decoder"
+    dec = SegDecoder.load(dec_dir) if (dec_dir / "manifest.json").exists() else None
     table = metrics.eval_grounding(emb, dec, cohort, args.split, tau=cfg.grounder.tau)
     out = Path(args.out)
     _write_run_json(out, "eval-grounding", cfg)
     metrics.write_metrics_csv(out / "metrics.csv", table)
-    if args.plots:
-        _plot_dice_bars(table, out / "plots")
     for key in sorted(table):
         print(f"{key}: {table[key]:.4f}")
     return 0
@@ -328,56 +313,6 @@ def _cmd_gradcheck(args) -> int:
         failed |= not ok
         print(f"{name}: max rel err {err:.3e} [{'ok' if ok else 'FAIL'}]")
     return 1 if failed else 0
-
-
-def _plot_reward_curve(rows, plot_dir: Path) -> None:
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("matplotlib not installed; skipping plots", file=sys.stderr)
-        return
-    plot_dir.mkdir(parents=True, exist_ok=True)
-    fig, ax = plt.subplots(figsize=(7, 4))
-    for key in ("mean_reward", "r_format", "r_nia", "r_consistency"):
-        ax.plot([r["iter"] for r in rows], [r[key] for r in rows], label=key)
-    ax.set_xlabel("iteration")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(plot_dir / "reward_curves.png", dpi=120)
-    plt.close(fig)
-
-
-def _plot_dice_bars(table: dict, plot_dir: Path) -> None:
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("matplotlib not installed; skipping plots", file=sys.stderr)
-        return
-    keys = [k for k in sorted(table) if k.startswith("dice.")]
-    if not keys:
-        return
-    plot_dir.mkdir(parents=True, exist_ok=True)
-    fig, ax = plt.subplots(figsize=(7, 4))
-    x = np.arange(len(keys))
-    ax.bar(x - 0.2, [table[k] for k in keys], width=0.4, label="evidence-conditioned")
-    ax.bar(
-        x + 0.2,
-        [table[k.replace("dice.", "dice_ablated.")] for k in keys],
-        width=0.4,
-        label="cross-attention zeroed",
-    )
-    ax.set_xticks(x, [k.split(".", 1)[1] for k in keys], rotation=20)
-    ax.set_ylabel("Dice")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(plot_dir / "dice_bars.png", dpi=120)
-    plt.close(fig)
 
 
 _COMMANDS = {

@@ -3,7 +3,6 @@ round-trip and partial-override merging."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -13,6 +12,14 @@ from .errors import ValidationError
 from .grounding import GrounderConfig
 from .policy import RftConfig
 from .pretrain import PretrainConfig
+from .tensorio import read_json_object
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """Reject anything but an integer numpy can seed with: [0, 2**64)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ValidationError(f"{name} must be an unsigned 64-bit integer")
+    return value
 
 
 @dataclass
@@ -42,7 +49,7 @@ class RunConfig:
         }
         for key, value in overrides.items():
             if key == "seed":
-                cfg.seed = int(value)
+                cfg.seed = check_seed(value)
             elif key in sections:
                 base = asdict(getattr(cfg, key))
                 unknown = set(value) - set(base)
@@ -59,10 +66,4 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path}: top level must be an object")
-        return cls.from_json(data)
+        return cls.from_json(read_json_object(path))

@@ -28,11 +28,10 @@ from .textenc import Embedder
 
 @dataclass
 class TeacherGrounder:
-    """Frozen embedder (plus optional decoder) from supervised grounding."""
+    """Frozen embedder from supervised grounding."""
 
     embedder: Embedder
     tau: float = 0.07
-    decoder: object | None = None
     trained: bool = False
 
 
@@ -40,18 +39,14 @@ class TeacherGrounder:
 class DistillConfig:
     distill_temperature: float = 2.0
     lambda_kl: float = 1.0
-    label_fraction: float = 1.0
     epochs: int = 20
     lr: float = 0.5
     seed: int = 0
     init_from_teacher: bool = False
-    distill_masks: bool = False  # printed student objective covers evidence KL only
 
     def __post_init__(self):
         if self.distill_temperature <= 0:
             raise ValidationError("distill_temperature must be positive")
-        if not 0.0 < self.label_fraction <= 1.0:
-            raise ValidationError("label_fraction must be in (0, 1]")
 
 
 def distill_loss(teacher_p: np.ndarray, student_logits: np.ndarray, tau_d: float) -> LossWithGrad:
@@ -93,9 +88,7 @@ def train_student(
     """Minimize lambda_kl * distill loss over all generated sentences.
 
     Candidates for each sentence are restricted to its patient's evidence
-    set. Returns the student and the per-epoch loss curve. With
-    ``cfg.distill_masks`` set, call :func:`distill_student_decoder`
-    afterwards for the optional mask stage.
+    set. Returns the student and the per-epoch loss curve.
     """
     if not teacher.trained:
         raise UntrainedTeacherError("teacher must be trained before distillation")
@@ -153,63 +146,6 @@ def train_student(
         if not np.array_equal(before, after[key]):
             raise AssertionError("teacher parameters changed during distillation")
     return student, curve
-
-
-def distill_student_decoder(
-    reports: list[tuple[PatientRecord, ClinicalReport]],
-    teacher: TeacherGrounder,
-    student: Embedder,
-    volumes: dict,
-    cfg: DistillConfig,
-):
-    """Optional mask stage: fit a student decoder to the teacher's soft
-    masks by soft-Dice matching. Off by default because the printed
-    student objective contains only the evidence KL term."""
-    from .segdecoder import SegDecoder, SegDecoderConfig, decode_mask, train_mask_decoder
-    from .textenc import tokenize
-
-    if not cfg.distill_masks:
-        return None, []
-    if teacher.decoder is None:
-        raise ValidationError("mask distillation needs a teacher decoder")
-    t_dec = teacher.decoder
-    s_dec = SegDecoder(
-        SegDecoderConfig(
-            volume_dim=t_dec.cfg.volume_dim,
-            patch=t_dec.cfg.patch,
-            token_dim=t_dec.cfg.token_dim,
-            layers=t_dec.cfg.layers,
-            ffn_hidden=t_dec.cfg.ffn_hidden,
-            seed=cfg.seed + 1,
-        )
-    )
-    samples = []
-    for record, _ in reports:
-        if record.id not in volumes:
-            continue
-        volume = volumes[record.id]
-        t_tokens = t_dec.volume_to_tokens(volume)
-        s_tokens = s_dec.volume_to_tokens(volume)
-        for item in record.evidence:
-            if item.anatomy_ref is None:
-                continue
-            soft_target = decode_mask(
-                t_dec, t_tokens, teacher.embedder.embed_tokens(tokenize(item.descriptor))
-            )
-            ev_tokens = student.embed_tokens(tokenize(item.descriptor))
-            samples.append((s_tokens, ev_tokens, soft_target))
-    if not samples:
-        raise EmptyDatasetError("no anatomy-linked evidence to distill masks from")
-    curve = train_mask_decoder(
-        s_dec,
-        samples,
-        epochs=cfg.epochs,
-        lr=2e-3,
-        lambda_dice=1.0,
-        lambda_bce=0.0,  # soft-Dice matching only
-        seed=cfg.seed,
-    )
-    return s_dec, curve
 
 
 def _split_r3(emb, cohort, split: str, tau: float) -> float:

@@ -138,9 +138,6 @@ def eval_consistency(
     entailment rate' over (record, report text) pairs."""
     if not reports:
         raise EmptyGoldError("no reports to evaluate")
-    from .rules import serialized
-
-    scorer = serialized(scorer)
     acc, fmt, nia, ent = [], [], [], []
     for record, text in reports:
         parsed = parse_report(text)

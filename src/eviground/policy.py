@@ -30,9 +30,10 @@ import numpy as np
 from . import phrases, tensorio
 from .errors import DimMismatchError, ValidationError
 from .losses import LossWithGrad
-from .records import BIOMARKERS, COGNITIVE_DOMAINS, PatientRecord
+from .records import BIOMARKERS, COGNITIVE_DOMAINS, LABELS, PatientRecord
 from .report import parse_report, render_report
 from .rules import (
+    _QUALIFIER_SEVERITY,
     EntailmentScorer,
     RewardBreakdown,
     RuleConfig,
@@ -45,8 +46,7 @@ ADVANTAGE_STD_FLOOR = 1e-8
 # floor only guards 0*log(0) under extreme softmax underflow
 LOG_PROB_FLOOR = 1e-300
 
-_DIAGNOSIS_CHOICES = ("CN", "MCI", "Dementia")
-_CONCLUSION_CHOICES = ("CN", "MCI", "Dementia", "omit")
+_CONCLUSION_CHOICES = LABELS + ("omit",)
 _CONFIDENCE_CHOICES = ("High", "Medium", "Low", "Certain", "omit")
 _DOMAIN_CHOICES = ("omit", "intact", "mild", "moderate", "severe")
 # biomarker sentences report the measured status; the policy decides whether
@@ -54,12 +54,10 @@ _DOMAIN_CHOICES = ("omit", "intact", "mild", "moderate", "severe")
 _BIOMARKER_CHOICES = ("omit", "mention", "status")
 _ORDER_CHOICES = ("domains_first", "biomarkers_first")
 
-_QUALIFIER_SEVERITY = {"intact": 0, "mild": 1, "moderate": 2, "severe": 3}
-
 
 def slot_layout() -> list[tuple[str, tuple[str, ...]]]:
     slots = [
-        ("diagnosis", _DIAGNOSIS_CHOICES),
+        ("diagnosis", LABELS),
         ("conclusion", _CONCLUSION_CHOICES),
         ("confidence", _CONFIDENCE_CHOICES),
         ("order", _ORDER_CHOICES),
@@ -240,7 +238,7 @@ class ReportPolicy:
         confidence = _CONFIDENCE_CHOICES[choices["confidence"]]
         return render_report(
             " ".join(sentences),
-            _DIAGNOSIS_CHOICES[choices["diagnosis"]],
+            LABELS[choices["diagnosis"]],
             None if confidence == "omit" else confidence,
         )
 

@@ -64,12 +64,6 @@ class PatientRecord:
                 raise ValidationError(f"duplicate evidence id {item.id!r}")
             seen.add(item.id)
 
-    def evidence_by_id(self, evid: str) -> EvidenceItem:
-        for item in self.evidence:
-            if item.id == evid:
-                return item
-        raise KeyError(evid)
-
     def to_json(self) -> dict:
         d = asdict(self)
         return d

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-DIAGNOSIS_LABELS = ("CN", "MCI", "Dementia")
+from .records import LABELS
+
 CONFIDENCE_LEVELS = ("High", "Medium", "Low")
 UNPARSED = "Unparsed"
 
@@ -115,7 +116,7 @@ def parse_report(text: str) -> ClinicalReport:
         sections,
         "diagnosis",
         issues,
-        canonical=DIAGNOSIS_LABELS,
+        canonical=LABELS,
         synonyms=_DIAGNOSIS_SYNONYMS,
     )
     confidence = _parse_value(
@@ -159,7 +160,7 @@ def format_reward(r: ClinicalReport) -> float:
     """1 iff reasoning is nonempty, diagnosis and confidence are valid labels."""
     ok = (
         bool(r.reasoning.strip())
-        and r.diagnosis in DIAGNOSIS_LABELS
+        and r.diagnosis in LABELS
         and r.confidence in CONFIDENCE_LEVELS
     )
     return 1.0 if ok else 0.0

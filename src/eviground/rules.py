@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Protocol
 
+from .errors import ValidationError
 from .records import BIOMARKERS, COGNITIVE_DOMAINS, LABELS, PatientRecord
 from .report import ClinicalReport, format_reward, segment_sentences
+from .tensorio import read_json_object
 from .textenc import tokenize
 
 NIA_CAT_WEIGHT = 0.4
 NIA_BIO_WEIGHT = 0.3
 NIA_FEAT_WEIGHT = 0.3
-
-QUALIFIER_TOKENS = ("intact", "normal", "mild", "moderate", "severe", "impaired", "declined")
 
 # severity implied by a qualifier token: 0 spared .. 3 severe
 _QUALIFIER_SEVERITY = {
@@ -86,9 +86,9 @@ class RuleConfig:
 
     def __post_init__(self):
         if min(self.w_format, self.w_nia, self.w_consistency) < 0:
-            raise ValueError("reward weights must be nonnegative")
+            raise ValidationError("reward weights must be nonnegative")
         if min(self.abeta_abnormal_below, self.ttau_abnormal_above, self.ptau_abnormal_above) <= 0:
-            raise ValueError("thresholds must be positive")
+            raise ValidationError("thresholds must be positive")
 
     def max_total(self) -> float:
         return self.w_format + self.w_nia + self.w_consistency
@@ -98,14 +98,20 @@ class RuleConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "RuleConfig":
-        return cls(**d)
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValidationError(f"unknown keys in rules: {sorted(unknown)}")
+        try:
+            return cls(**d)
+        except TypeError as exc:  # a threshold or weight that is not a number
+            raise ValidationError(f"bad rules: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "RuleConfig":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json_object(path))
 
 
 @dataclass(frozen=True)
@@ -275,39 +281,11 @@ def nia_aa_reward(r_cat: float, r_bio: float, r_feat: float) -> float:
 
 
 class EntailmentScorer(Protocol):
-    """Classifies (premise, hypothesis) into contradiction/neutral/entailment.
-
-    Implementations declare ``concurrency_safe``; the engine serializes
-    calls to scorers that are not (see :func:`serialized`).
-    """
-
-    concurrency_safe: bool
+    """Classifies (premise, hypothesis) into contradiction/neutral/entailment."""
 
     def classify(self, premise: str, hypothesis: str) -> str: ...
 
 
-class _LockedScorer:
-    concurrency_safe = True
-
-    def __init__(self, inner: "EntailmentScorer"):
-        import threading
-
-        self._inner = inner
-        self._lock = threading.Lock()
-
-    def classify(self, premise: str, hypothesis: str) -> str:
-        with self._lock:
-            return self._inner.classify(premise, hypothesis)
-
-
-def serialized(scorer: "EntailmentScorer") -> "EntailmentScorer":
-    """Wrap a non-thread-safe scorer behind a lock; pass safe ones through."""
-    if getattr(scorer, "concurrency_safe", False):
-        return scorer
-    return _LockedScorer(scorer)
-
-
-_STAGE_INDEX = {label: i for i, label in enumerate(LABELS)}
 _GENERIC_BIOMARKER_CUE = "biomarker"
 
 
@@ -315,8 +293,6 @@ class LexicalEntailmentScorer:
     """Deterministic rule system: biomarker status assertions plus cognitive
     severity imply a stage; an explicit concluding label cue is compared
     against the hypothesized diagnosis directly."""
-
-    concurrency_safe = True
 
     def __init__(self, cfg: RuleConfig | None = None):
         self.cfg = cfg or RuleConfig()

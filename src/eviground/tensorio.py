@@ -82,6 +82,18 @@ def save_params(directory: str | Path, params: dict[str, np.ndarray], meta: dict
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def read_json_object(path: str | Path) -> dict:
+    """Parse a JSON file whose top level must be an object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: top level must be an object")
+    return data
+
+
 def load_params(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -89,12 +101,8 @@ def load_params(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         from .errors import MissingCheckpointError
 
         raise MissingCheckpointError(f"no manifest at {manifest_path}")
-    try:
-        with open(manifest_path) as fh:
-            meta = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ValidationError(f"{manifest_path}: not JSON ({exc})") from exc
-    names = meta.pop("params", None) if isinstance(meta, dict) else None
+    meta = read_json_object(manifest_path)
+    names = meta.pop("params", None)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValidationError(f"{manifest_path}: no list of parameter names under 'params'")
     params = {name: load_tensor(directory / f"{name}.emad") for name in names}

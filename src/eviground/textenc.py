@@ -32,7 +32,7 @@ def token_bucket(token: str, vocab_hash_dim: int) -> int:
 
 @dataclass
 class EncodeCache:
-    """Intermediates needed to backpropagate through encode_texts."""
+    """Intermediates needed to backpropagate through encode_features."""
 
     mean_features: np.ndarray  # (n_texts, base_dim)
     pooled: np.ndarray  # pre-normalization head outputs (n_texts, embed_dim)
@@ -69,10 +69,6 @@ class Embedder:
     def params(self) -> dict[str, np.ndarray]:
         return {"head_w": self.head_w, "head_b": self.head_b}
 
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.head_w = np.array(params["head_w"], dtype=np.float64)
-        self.head_b = np.array(params["head_b"], dtype=np.float64)
-
     def copy(self) -> "Embedder":
         clone = Embedder(self.vocab_hash_dim, self.base_dim, self.embed_dim, self.seed)
         clone.head_w = self.head_w.copy()
@@ -107,10 +103,6 @@ class Embedder:
         norms = np.linalg.norm(pooled, axis=1)
         unit = pooled / norms[:, None]
         return unit, EncodeCache(mean_feats, pooled, norms, unit)
-
-    def encode_texts(self, texts: list[str]) -> tuple[np.ndarray, EncodeCache]:
-        """Embed a batch of texts; returns unit vectors plus a backward cache."""
-        return self.encode_features(self.features_of_texts(texts))
 
     # --- backward -----------------------------------------------------------
 

@@ -1,12 +1,17 @@
 """CLI exit codes, output contracts, and rerun reproducibility."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from eviground import tensorio
 from eviground.cli import cli_main
+from eviground.cohort import Cohort
+from eviground.distill import DistillConfig, label_efficiency_experiment
+from eviground.grounding import GrounderConfig
+from eviground.metrics import write_rows_csv
 from eviground.policy import ReportPolicy
 from eviground.segdecoder import SegDecoder
 from eviground.textenc import Embedder
@@ -240,6 +245,73 @@ def test_label_efficiency_csv_schema(tmp_path, cohort_dir):
     lines = (out / "label_efficiency.csv").read_text().splitlines()
     assert lines[0] == "fraction,teacher_r3,student_r3,ratio"
     assert len(lines) == 2
+
+
+def test_label_efficiency_seed_reaches_teacher(tmp_path, cohort_dir):
+    # one grounder epoch leaves teacher R@3 below 1.0 here, and the grounder
+    # seed then changes it (0.973 at seed 0, 1.0 at seed 3)
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"grounder": {"epochs": 1}, "distill": {"epochs": 2}}))
+    out = tmp_path / "le"
+    args = ["label-efficiency", "--cohort", str(cohort_dir), "--out", str(out)]
+    assert cli_main(args + ["--config", str(cfg), "--seed", "3", "--fractions", "1.0"]) == 0
+    rows = label_efficiency_experiment(
+        Cohort.load(cohort_dir),
+        [1.0],
+        DistillConfig(seed=3, epochs=2),
+        GrounderConfig(train_decoder=False, seed=3, epochs=1),
+    )
+    want = tmp_path / "want.csv"
+    write_rows_csv(want, rows, ["fraction", "teacher_r3", "student_r3", "ratio"])
+    assert (out / "label_efficiency.csv").read_bytes() == want.read_bytes()
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_config_seed_out_of_range_exits_1(tmp_path, cohort_dir, capsys):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    code = cli_main(
+        ["pretrain", "--cohort", str(cohort_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    )
+    assert code == 1
+    assert "seed must be an unsigned 64-bit integer" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("rules_text", ["{not json", '{"w_format": 0.2, "no_such_rule": 1}'])
+def test_train_grpo_bad_rules_json_exits_1(tmp_path, cohort_dir, capsys, rules_text):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    (cohort / "rules.json").write_text(rules_text)
+    code = cli_main(
+        ["train-grpo", "--cohort", str(cohort), "--out", str(tmp_path / "o"), "--iters", "2"]
+    )
+    assert code == 1
+    _one_line_error(capsys)
+
+
+def test_score_report_invalid_rules_config_exits_1(tmp_path, cohort_dir, capsys):
+    bad = tmp_path / "rules.json"
+    bad.write_text("{not json")
+    code = cli_main(
+        [
+            "score-report",
+            "--report",
+            str(cohort_dir / "reports" / "p0000.txt"),
+            "--patient",
+            "p0000",
+            "--cohort",
+            str(cohort_dir),
+            "--config",
+            str(bad),
+        ]
+    )
+    assert code == 1
+    assert "not JSON" in _one_line_error(capsys)
 
 
 def test_pretrain_subcommand(tmp_path, cohort_dir):

@@ -1,11 +1,22 @@
 """Run-config merging and validation."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from eviground.cohort import CohortConfig
 from eviground.config import RunConfig
+from eviground.distill import DistillConfig
 from eviground.errors import ValidationError
+from eviground.grounding import GrounderConfig
+from eviground.policy import RftConfig
+from eviground.pretrain import PretrainConfig
+from eviground.rules import RuleConfig
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "config.md"
 
 
 def test_defaults_match_documented_values():
@@ -57,3 +68,41 @@ def test_json_roundtrip():
     assert again.seed == 4
     assert again.cohort.n_patients == 12
     assert again.cohort.rules == cfg.cohort.rules
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "3", True, None])
+def test_out_of_range_seed_rejected(seed):
+    with pytest.raises(ValidationError, match="seed must be an unsigned 64-bit integer"):
+        RunConfig.from_json({"seed": seed})
+
+
+def test_largest_seed_accepted():
+    assert RunConfig.from_json({"seed": 2**64 - 1}).seed == 2**64 - 1
+
+
+def _documented_keys() -> dict[str, set[str]]:
+    """Backticked names in the key column of each `## <section>` table."""
+    sections: dict[str, set[str]] = {}
+    section = None
+    for line in DOCS.read_text().splitlines():
+        if line.startswith("## "):
+            section = line[3:].split()[0]
+        elif section and line.startswith("| `"):
+            key_cell = line.split("|")[1]
+            sections.setdefault(section, set()).update(re.findall(r"`([^`]+)`", key_cell))
+    return sections
+
+
+def test_docs_config_lists_exactly_the_dataclass_fields():
+    classes = {
+        "cohort": CohortConfig,
+        "cohort.rules": RuleConfig,
+        "grounder": GrounderConfig,
+        "distill": DistillConfig,
+        "rft": RftConfig,
+        "pretrain": PretrainConfig,
+    }
+    documented = _documented_keys()
+    assert set(documented) == set(classes)
+    for section, cls in classes.items():
+        assert documented[section] == {f.name for f in fields(cls)}, section

@@ -106,38 +106,3 @@ class TestLabelEfficiency:
         rows = distill.label_efficiency_experiment(small_cohort, [1.0], cfg, gcfg)
         assert 0.0 <= rows[0]["ratio"] <= 1.05
 
-
-class TestMaskDistillation:
-    def test_off_by_default(self, teacher, train_reports):
-        dec, curve = distill.distill_student_decoder(
-            train_reports, teacher, Embedder(seed=9), {}, distill.DistillConfig()
-        )
-        assert dec is None and curve == []
-
-    def test_requires_teacher_decoder(self, teacher, train_reports):
-        from eviground.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            distill.distill_student_decoder(
-                train_reports,
-                teacher,
-                Embedder(seed=9),
-                {},
-                distill.DistillConfig(distill_masks=True),
-            )
-
-    def test_soft_dice_matching_converges(self, small_cohort):
-        emb, dec, _ = train_grounding(
-            small_cohort,
-            GrounderConfig(epochs=6, decoder_epochs=10, seed=0),
-            patient_ids=small_cohort.split["train"][:6],
-        )
-        t = distill.TeacherGrounder(emb, tau=0.07, decoder=dec, trained=True)
-        ids = small_cohort.split["train"][:6]
-        reports = distill.generated_reports_for(small_cohort, ids)
-        volumes = {pid: small_cohort.volume(pid) for pid in ids}
-        cfg = distill.DistillConfig(epochs=12, distill_masks=True, seed=0)
-        student, _ = distill.train_student(reports, t, cfg)
-        s_dec, curve = distill.distill_student_decoder(reports, t, student, volumes, cfg)
-        assert s_dec is not None
-        assert curve[-1] < curve[0]

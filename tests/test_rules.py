@@ -3,6 +3,7 @@
 import pytest
 
 from eviground import rules
+from eviground.errors import ValidationError
 from eviground.records import EvidenceItem, PatientRecord
 from eviground.report import parse_report
 from eviground.rules import (
@@ -219,17 +220,18 @@ class TestStageRule:
         assert back == cfg
 
 
-class TestScorerSerialization:
-    def test_safe_scorer_passes_through(self, scorer):
-        assert rules.serialized(scorer) is scorer
-
-    def test_unsafe_scorer_gets_wrapped(self):
-        class Unsafe:
-            concurrency_safe = False
-
-            def classify(self, premise, hypothesis):
-                return "neutral"
-
-        wrapped = rules.serialized(Unsafe())
-        assert wrapped.concurrency_safe
-        assert wrapped.classify("a", "b") == "neutral"
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[1, 2]",
+            '{"w_format": 0.2, "w_fromat": 0.2}',
+            '{"w_nia": -1}',
+            '{"w_nia": "0.5"}',
+        ],
+    )
+    def test_bad_rules_json_rejected(self, tmp_path, text):
+        path = tmp_path / "rules.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            RuleConfig.load(path)
