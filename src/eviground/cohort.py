@@ -420,17 +420,11 @@ class Cohort:
         if not (root / "records.jsonl").exists():
             raise FileNotFoundError(f"no cohort at {root}")
         records = {r.id: r for r in read_records(root / "records.jsonl")}
-        grounding = []
-        with open(root / "grounding.jsonl") as fh:
-            for line in fh:
-                if line.strip():
-                    d = json.loads(line)
-                    grounding.append(
-                        GroundingRow(
-                            d["patient_id"], d["sentence"], d["evidence_ids"], d.get("mask_file")
-                        )
-                    )
-        split = json.loads((root / "split.json").read_text())
+        grounding = [
+            GroundingRow(d["patient_id"], d["sentence"], d["evidence_ids"], d.get("mask_file"))
+            for d in tensorio.read_json_lines(root / "grounding.jsonl")
+        ]
+        split = tensorio.read_json_object(root / "split.json")
         rules = RuleConfig.load(root / "rules.json")
         return cls(root, records, grounding, split, rules)
 

@@ -105,7 +105,7 @@ def train_student(
             seed=cfg.seed + 1,
         )
     )
-    teacher_before = {k: v.copy() for k, v in teacher.embedder.params().items()}
+    teacher_before = teacher.embedder.flat.copy()
 
     # cache teacher targets and head-independent features once
     items = []
@@ -135,16 +135,13 @@ def train_student(
             dz = cfg.lambda_kl * loss.grads["student_logits"]
             d_vs = (dz[None, :] @ v_e) / teacher.tau
             d_ve = np.outer(dz, v_s.ravel()) / teacher.tau
-            grads_s = student.backward_texts(cache_s, d_vs)
-            grads_e = student.backward_texts(cache_e, d_ve)
-            student.head_w -= cfg.lr * (grads_s["head_w"] + grads_e["head_w"])
-            student.head_b -= cfg.lr * (grads_s["head_b"] + grads_e["head_b"])
+            g_s = student.backward_texts(cache_s, d_vs)
+            g_e = student.backward_texts(cache_e, d_ve)
+            student.flat -= cfg.lr * (g_s + g_e)
         curve.append(total / len(items))
 
-    after = teacher.embedder.params()
-    for key, before in teacher_before.items():
-        if not np.array_equal(before, after[key]):
-            raise AssertionError("teacher parameters changed during distillation")
+    if not np.array_equal(teacher_before, teacher.embedder.flat):
+        raise AssertionError("teacher parameters changed during distillation")
     return student, curve
 
 

@@ -89,10 +89,8 @@ def infonce_from_features(
     loss_es, grad_es = _directional_terms(kap.T, pos_by_evidence, tau)
 
     g_sim = grad_se + grad_es.T  # d(loss)/d(sim matrix)
-    grads_s = emb.backward_texts(cache_s, g_sim @ v_e)
-    grads_e = emb.backward_texts(cache_e, g_sim.T @ v_s)
-    grads = {k: grads_s[k] + grads_e[k] for k in grads_s}
-    return LossWithGrad(loss_se + loss_es, grads)
+    grad = emb.backward_texts(cache_s, g_sim @ v_e) + emb.backward_texts(cache_e, g_sim.T @ v_s)
+    return LossWithGrad(loss_se + loss_es, {"flat": grad})
 
 
 def multi_positive_infonce(batch: GroundingBatch, emb, tau: float = 0.07) -> LossWithGrad:
@@ -205,8 +203,7 @@ def train_grounding(cohort, cfg: GrounderConfig, patient_ids: list[str] | None =
             feat_s, feat_e, pos_s, pos_e = prepared[idx]
             loss = infonce_from_features(feat_s, feat_e, pos_s, pos_e, emb, cfg.tau)
             total += loss.value
-            emb.head_w -= cfg.lr * loss.grads["head_w"]
-            emb.head_b -= cfg.lr * loss.grads["head_b"]
+            emb.flat -= cfg.lr * loss.grads["flat"]
         se_curve.append(total / len(prepared))
 
     decoder = None

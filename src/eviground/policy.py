@@ -28,7 +28,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import phrases, tensorio
-from .errors import DimMismatchError, ValidationError
+from .errors import ValidationError
 from .losses import LossWithGrad
 from .records import BIOMARKERS, COGNITIVE_DOMAINS, LABELS, PatientRecord
 from .report import parse_report, render_report
@@ -250,21 +250,9 @@ class ReportPolicy:
     @classmethod
     def load(cls, directory: str | Path) -> "ReportPolicy":
         """Rebuild a saved policy; its tensors must match the slot layout."""
-        params, meta = tensorio.load_params(directory)
-        pol = cls(meta.get("seed", 0))
-        missing = sorted(pol.params.keys() - params.keys())
-        if missing:
-            raise ValidationError(f"{directory}: policy checkpoint lacks tensors {missing}")
-        unknown = sorted(params.keys() - pol.params.keys())
-        if unknown:
-            raise ValidationError(f"{directory}: policy checkpoint has unknown tensors {unknown}")
-        for name, view in pol.params.items():
-            if params[name].shape != view.shape:
-                raise DimMismatchError(
-                    f"{directory}: tensor {name} has shape {params[name].shape}, "
-                    f"the slot layout needs {view.shape}"
-                )
-            view[...] = params[name]
+        params, meta = tensorio.load_params(directory, ("seed",))
+        pol = cls(**meta)
+        tensorio.copy_params(params, pol.params, directory)
         return pol
 
 

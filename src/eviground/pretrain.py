@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensorio
 from .errors import DimMismatchError, ValidationError
 from .losses import LossWithGrad, mse_loss, softmax, token_nll
 from .textenc import token_bucket, tokenize
@@ -172,14 +173,18 @@ def run_pretrain(data: PretrainData, cfg: PretrainConfig) -> list[dict]:
     d = 32
     vol_flat = data.volumes.reshape(n, -1)
 
-    params = {
-        "img_enc": rng.normal(0, 1 / np.sqrt(img_dim), (img_dim, d)),
-        "txt_enc": rng.normal(0, 1 / np.sqrt(txt_dim), (txt_dim, d)),
-        "img_dec": rng.normal(0, 0.01, (d, vol_flat.shape[1])),
-        "img_dec_b": np.zeros(vol_flat.shape[1]),
-        "txt_dec": rng.normal(0, 0.01, (d, data.vocab)),
-        "txt_dec_b": np.zeros(data.vocab),
-    }
+    slots = tensorio.flat_layout([
+        ("img_enc", (img_dim, d)), ("txt_enc", (txt_dim, d)),
+        ("img_dec", (d, vol_flat.shape[1])), ("img_dec_b", (vol_flat.shape[1],)),
+        ("txt_dec", (d, data.vocab)), ("txt_dec_b", (data.vocab,)),
+    ])
+    flat = np.zeros(slots[-1][2])
+    params = tensorio.views(flat, slots)
+    # draw order is part of the seed contract; the biases start at zero
+    params["img_enc"][...] = rng.normal(0, 1 / np.sqrt(img_dim), (img_dim, d))
+    params["txt_enc"][...] = rng.normal(0, 1 / np.sqrt(txt_dim), (txt_dim, d))
+    params["img_dec"][...] = rng.normal(0, 0.01, (d, vol_flat.shape[1]))
+    params["txt_dec"][...] = rng.normal(0, 0.01, (d, data.vocab))
     ema = EmaState(
         online={"img_enc": params["img_enc"], "txt_enc": params["txt_enc"]},
         momentum={"img_enc": params["img_enc"].copy(), "txt_enc": params["txt_enc"].copy()},
@@ -203,7 +208,8 @@ def run_pretrain(data: PretrainData, cfg: PretrainConfig) -> list[dict]:
             extra_txt = _normalize_rows(txt_in @ ema.momentum["txt_enc"])[0]
         itc = itc_loss(img_f, txt_f, cfg.tau, extra_img=extra_img, extra_txt=extra_txt)
 
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        gflat = np.zeros_like(flat)
+        grads = tensorio.views(gflat, slots)
         d_img_f = itc.grads["img_feats"].copy()
         d_txt_f = itc.grads["txt_feats"].copy()
 
@@ -239,8 +245,7 @@ def run_pretrain(data: PretrainData, cfg: PretrainConfig) -> list[dict]:
         grads["img_enc"] += img_in.T @ d_img_u
         grads["txt_enc"] += txt_in.T @ d_txt_u
 
-        for key, grad in grads.items():
-            params[key] -= cfg.lr * grad
+        flat -= cfg.lr * gflat
         ema_update(ema)
 
         history.append(

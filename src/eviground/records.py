@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
+from .tensorio import read_json_lines
 
 LABELS = ("CN", "MCI", "Dementia")
 EVIDENCE_CATEGORIES = (
@@ -82,10 +83,4 @@ def write_records(path: str | Path, records: list[PatientRecord]) -> None:
 
 
 def read_records(path: str | Path) -> list[PatientRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(PatientRecord.from_json(json.loads(line)))
-    return records
+    return [PatientRecord.from_json(d) for d in read_json_lines(path)]

@@ -89,6 +89,13 @@ class RuleConfig:
             raise ValidationError("reward weights must be nonnegative")
         if min(self.abeta_abnormal_below, self.ttau_abnormal_above, self.ptau_abnormal_above) <= 0:
             raise ValidationError("thresholds must be positive")
+        for name in ("label_cues", "domain_cues", "biomarker_cues"):
+            cues = getattr(self, name)
+            if not isinstance(cues, dict) or not all(
+                isinstance(k, str) and isinstance(v, list) and all(isinstance(c, str) for c in v)
+                for k, v in cues.items()
+            ):
+                raise ValidationError(f"{name} must map strings to lists of strings")
 
     def max_total(self) -> float:
         return self.w_format + self.w_nia + self.w_consistency

@@ -23,7 +23,6 @@ the disk.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -160,8 +159,7 @@ _ATTENTION_KEYS = ("sa_wq", "sa_wk", "sa_wv", "sa_wo", "ca_wq", "ca_wk", "ca_wv"
 
 
 def _layout(c: SegDecoderConfig) -> list[tuple[str, int, int, tuple[int, ...]]]:
-    """Name, ``[start, stop)`` span in ``SegDecoder.flat`` and shape of every
-    trainable tensor."""
+    """``tensorio.flat_layout`` of every trainable tensor in ``SegDecoder.flat``."""
     d, h = c.token_dim, c.ffn_hidden
     layer = [(name, (d, d)) for name in _ATTENTION_KEYS]
     layer += [("ff_w1", (d, h)), ("ff_b1", (h,)), ("ff_w2", (h, d)), ("ff_b2", (d,))]
@@ -169,11 +167,7 @@ def _layout(c: SegDecoderConfig) -> list[tuple[str, int, int, tuple[int, ...]]]:
     shapes = [(f"l{i}.{name}", shape) for i in range(c.layers) for name, shape in layer]
     shapes += [("lnf_g", (d,)), ("lnf_b", (d,)), ("head_w", (d, c.patch_voxels)),
                ("head_b", (c.patch_voxels,))]
-    slots, stop = [], 0
-    for name, shape in shapes:
-        start, stop = stop, stop + math.prod(shape)
-        slots.append((name, start, stop, shape))
-    return slots
+    return tensorio.flat_layout(shapes)
 
 
 class SegDecoder:
@@ -213,7 +207,7 @@ class SegDecoder:
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Named, reshaped views into a vector laid out like ``flat``."""
-        return {name: vec[start:stop].reshape(shape) for name, start, stop, shape in self._slots}
+        return tensorio.views(vec, self._slots)
 
     # --- tokenization ---------------------------------------------------------
 
@@ -346,28 +340,10 @@ class SegDecoder:
     @classmethod
     def load(cls, directory: str | Path) -> "SegDecoder":
         """Rebuild a saved decoder; its tensors must match the config's layout."""
-        params, meta = tensorio.load_params(directory)
-        meta.pop("kind", None)
-        unknown = sorted(meta.keys() - {f.name for f in dataclasses.fields(SegDecoderConfig)})
-        if unknown:
-            raise ValidationError(f"{directory}: decoder manifest has unknown keys {unknown}")
-        not_int = sorted(k for k, v in meta.items() if type(v) is not int)
-        if not_int:
-            raise ValidationError(f"{directory}: decoder manifest keys {not_int} are not integers")
+        fields = [f.name for f in dataclasses.fields(SegDecoderConfig)]
+        params, meta = tensorio.load_params(directory, fields)
         dec = cls(SegDecoderConfig(**meta))
-        missing = sorted(dec.params.keys() - params.keys())
-        if missing:
-            raise ValidationError(f"{directory}: decoder checkpoint lacks tensors {missing}")
-        unknown = sorted(params.keys() - dec.params.keys())
-        if unknown:
-            raise ValidationError(f"{directory}: decoder checkpoint has unknown tensors {unknown}")
-        for name, view in dec.params.items():
-            if params[name].shape != view.shape:
-                raise DimMismatchError(
-                    f"{directory}: tensor {name} has shape {params[name].shape}, "
-                    f"the config needs {view.shape}"
-                )
-            view[...] = params[name]
+        tensorio.copy_params(params, dec.params, directory)
         return dec
 
 

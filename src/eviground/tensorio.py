@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimMismatchError, ValidationError
+from .errors import DimMismatchError, MissingCheckpointError, ValidationError
 
 MAGIC = b"EMAD"
 
@@ -94,19 +96,65 @@ def read_json_object(path: str | Path) -> dict:
     return data
 
 
-def load_params(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+def read_json_lines(path: str | Path) -> Iterator:
+    """Yield the JSON value of each non-blank line of a JSON Lines file."""
+    with open(path, "rb") as fh:  # json.loads decodes bytes, so bad UTF-8 is a ValueError too
+        for number, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    yield json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise ValidationError(f"{path}: line {number} is not JSON ({exc})") from exc
+
+
+def load_params(directory: str | Path, meta_keys) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; besides ``kind`` and ``params`` its manifest may
+    hold only integers, under ``meta_keys``."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
-        from .errors import MissingCheckpointError
-
         raise MissingCheckpointError(f"no manifest at {manifest_path}")
     meta = read_json_object(manifest_path)
     names = meta.pop("params", None)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValidationError(f"{manifest_path}: no list of parameter names under 'params'")
+    meta.pop("kind", None)
+    unknown = sorted(meta.keys() - set(meta_keys))
+    if unknown:
+        raise ValidationError(f"{manifest_path}: unknown keys {unknown}")
+    not_int = sorted(k for k, v in meta.items() if type(v) is not int)
+    if not_int:
+        raise ValidationError(f"{manifest_path}: keys {not_int} are not integers")
     params = {name: load_tensor(directory / f"{name}.emad") for name in names}
     return params, meta
+
+
+def copy_params(params: dict[str, np.ndarray], dest: dict[str, np.ndarray], directory) -> None:
+    """Copy loaded tensors into a model's views; names and shapes must match."""
+    missing = sorted(dest.keys() - params.keys())
+    if missing:
+        raise ValidationError(f"{directory}: checkpoint lacks tensors {missing}")
+    unknown = sorted(params.keys() - dest.keys())
+    if unknown:
+        raise ValidationError(f"{directory}: checkpoint has unknown tensors {unknown}")
+    for name, view in dest.items():
+        if (got := params[name].shape) != view.shape:
+            raise DimMismatchError(f"{directory}: {name} has shape {got}, needs {view.shape}")
+        view[...] = params[name]
+
+
+def flat_layout(shapes) -> list[tuple[str, int, int, tuple[int, ...]]]:
+    """Name, ``[start, stop)`` span and shape of each tensor, packed in order."""
+    slots, stop = [], 0
+    for name, shape in shapes:
+        start, stop = stop, stop + math.prod(shape)
+        slots.append((name, start, stop, shape))
+    return slots
+
+
+def views(vec: np.ndarray, slots) -> dict[str, np.ndarray]:
+    """Named, reshaped views into a vector laid out by ``flat_layout``."""
+    return {name: vec[start:stop].reshape(shape) for name, start, stop, shape in slots}
 
 
 def file_sha256(path: str | Path) -> str:

@@ -7,6 +7,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,8 +44,9 @@ class EncodeCache:
 class Embedder:
     """Frozen random base table keyed by token hash; trainable head W, b.
 
-    The base table is immutable after construction; only ``head_w`` and
-    ``head_b`` ever receive gradients.
+    ``flat`` holds ``head_w`` (base_dim x embed_dim), then ``head_b``;
+    ``params`` names read-only views into it. The base table is immutable
+    and lies outside ``flat``; only the head ever receives gradients.
     """
 
     def __init__(
@@ -61,18 +63,15 @@ class Embedder:
         rng = np.random.default_rng(seed)
         self.base_table = rng.normal(0.0, 1.0, size=(vocab_hash_dim, base_dim))
         self.base_table.setflags(write=False)
-        self.head_w = rng.normal(0.0, 1.0 / np.sqrt(base_dim), size=(base_dim, embed_dim))
-        self.head_b = np.zeros(embed_dim)
-
-    # --- parameter plumbing -------------------------------------------------
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"head_w": self.head_w, "head_b": self.head_b}
+        slots = tensorio.flat_layout([("head_w", (base_dim, embed_dim)), ("head_b", (embed_dim,))])
+        self.flat = np.zeros(slots[-1][2])
+        self.params = MappingProxyType(tensorio.views(self.flat, slots))
+        head_w = self.params["head_w"]
+        head_w[...] = rng.normal(0.0, 1.0 / np.sqrt(base_dim), size=head_w.shape)
 
     def copy(self) -> "Embedder":
         clone = Embedder(self.vocab_hash_dim, self.base_dim, self.embed_dim, self.seed)
-        clone.head_w = self.head_w.copy()
-        clone.head_b = self.head_b.copy()
+        clone.flat[...] = self.flat
         return clone
 
     # --- forward ------------------------------------------------------------
@@ -85,7 +84,7 @@ class Embedder:
         """Per-token embeddings (n_tokens, embed_dim), unnormalized."""
         if not tokens:
             raise EmptyTextError("empty token sequence")
-        return self.token_features(tokens) @ self.head_w + self.head_b
+        return self.token_features(tokens) @ self.params["head_w"] + self.params["head_b"]
 
     def embed_text(self, text: str) -> np.ndarray:
         """Mean-pooled, L2-normalized sentence vector."""
@@ -99,32 +98,30 @@ class Embedder:
 
     def encode_features(self, mean_feats: np.ndarray) -> tuple[np.ndarray, EncodeCache]:
         """Apply the trainable head to precomputed mean features and normalize."""
-        pooled = mean_feats @ self.head_w + self.head_b
+        pooled = mean_feats @ self.params["head_w"] + self.params["head_b"]
         norms = np.linalg.norm(pooled, axis=1)
         unit = pooled / norms[:, None]
         return unit, EncodeCache(mean_feats, pooled, norms, unit)
 
     # --- backward -----------------------------------------------------------
 
-    def backward_texts(self, cache: EncodeCache, d_unit: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradient of a loss w.r.t. head params, given d(loss)/d(unit rows).
+    def backward_texts(self, cache: EncodeCache, d_unit: np.ndarray) -> np.ndarray:
+        """Gradient of a loss w.r.t. the head, laid out like ``flat``, given
+        d(loss)/d(unit rows).
 
         Normalization backward: du = (dv - (v . dv) v) / ||u||.
         """
         v = cache.unit
         inner = np.sum(v * d_unit, axis=1, keepdims=True)
         d_pooled = (d_unit - inner * v) / cache.norms[:, None]
-        return {
-            "head_w": cache.mean_features.T @ d_pooled,
-            "head_b": d_pooled.sum(axis=0),
-        }
+        return np.concatenate([(cache.mean_features.T @ d_pooled).ravel(), d_pooled.sum(axis=0)])
 
     # --- checkpoints ----------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
         tensorio.save_params(
             directory,
-            {"base_table": self.base_table, "head_w": self.head_w, "head_b": self.head_b},
+            {"base_table": self.base_table, **self.params},
             meta={
                 "kind": "embedder",
                 "vocab_hash_dim": self.vocab_hash_dim,
@@ -136,8 +133,10 @@ class Embedder:
 
     @classmethod
     def load(cls, directory: str | Path) -> "Embedder":
-        params, meta = tensorio.load_params(directory)
-        emb = cls(meta["vocab_hash_dim"], meta["base_dim"], meta["embed_dim"], meta["seed"])
-        emb.head_w = params["head_w"]
-        emb.head_b = params["head_b"]
+        """Rebuild a saved embedder; the base table is regenerated from the seed."""
+        keys = ("vocab_hash_dim", "base_dim", "embed_dim", "seed")
+        params, meta = tensorio.load_params(directory, keys)
+        params.pop("base_table", None)
+        emb = cls(**meta)
+        tensorio.copy_params(params, emb.params, directory)
         return emb

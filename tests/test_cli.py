@@ -282,7 +282,9 @@ def test_config_seed_out_of_range_exits_1(tmp_path, cohort_dir, capsys):
     assert "seed must be an unsigned 64-bit integer" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("rules_text", ["{not json", '{"w_format": 0.2, "no_such_rule": 1}'])
+@pytest.mark.parametrize(
+    "rules_text", ["{not json", '{"w_format": 0.2, "no_such_rule": 1}', '{"label_cues": []}']
+)
 def test_train_grpo_bad_rules_json_exits_1(tmp_path, cohort_dir, capsys, rules_text):
     cohort = tmp_path / "cohort"
     shutil.copytree(cohort_dir, cohort)
@@ -292,6 +294,19 @@ def test_train_grpo_bad_rules_json_exits_1(tmp_path, cohort_dir, capsys, rules_t
     )
     assert code == 1
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("name", ["split.json", "grounding.jsonl", "records.jsonl"])
+def test_train_grpo_truncated_cohort_file_exits_1(tmp_path, cohort_dir, capsys, name):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    data = (cohort / name).read_bytes()
+    (cohort / name).write_bytes(data[: len(data) // 2])
+    code = cli_main(
+        ["train-grpo", "--cohort", str(cohort), "--out", str(tmp_path / "o"), "--iters", "2"]
+    )
+    assert code == 1
+    assert name in _one_line_error(capsys)
 
 
 def test_score_report_invalid_rules_config_exits_1(tmp_path, cohort_dir, capsys):
@@ -383,19 +398,30 @@ def _eval_grounding_error(cohort_dir, checkpoint, out, capsys) -> str:
     return err
 
 
-def test_decoder_checkpoint_missing_tensor_exits_1(tmp_path, cohort_dir, sea_checkpoint, capsys):
-    manifest_path = sea_checkpoint / "decoder" / "manifest.json"
+_SEA_TENSORS = pytest.mark.parametrize(
+    "part, tensor", [("decoder", "l0.sa_wq"), ("embedder", "head_w")]
+)
+
+
+@_SEA_TENSORS
+def test_decoder_checkpoint_missing_tensor_exits_1(
+    tmp_path, cohort_dir, sea_checkpoint, capsys, part, tensor
+):
+    manifest_path = sea_checkpoint / part / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["params"].remove("l0.sa_wq")
+    manifest["params"].remove(tensor)
     manifest_path.write_text(json.dumps(manifest))
     err = _eval_grounding_error(cohort_dir, sea_checkpoint, tmp_path / "eval", capsys)
-    assert "l0.sa_wq" in err
+    assert tensor in err
 
 
-def test_decoder_checkpoint_wrong_shape_exits_1(tmp_path, cohort_dir, sea_checkpoint, capsys):
-    tensorio.save_tensor(sea_checkpoint / "decoder" / "l0.sa_wq.emad", np.ones((3, 32)))
+@_SEA_TENSORS
+def test_decoder_checkpoint_wrong_shape_exits_1(
+    tmp_path, cohort_dir, sea_checkpoint, capsys, part, tensor
+):
+    tensorio.save_tensor(sea_checkpoint / part / f"{tensor}.emad", np.ones((3, 32)))
     err = _eval_grounding_error(cohort_dir, sea_checkpoint, tmp_path / "eval", capsys)
-    assert "l0.sa_wq" in err and "(3, 32)" in err
+    assert tensor in err and "(3, 32)" in err
 
 
 @pytest.fixture

@@ -92,7 +92,7 @@ class TestMultiPositiveInfonce:
                 return feats / norms[:, None], EncodeCache(feats, feats, norms, feats)
 
             def backward_texts(self, cache, d_unit):
-                return {"head_w": np.zeros((2, 2)), "head_b": np.zeros(2)}
+                return np.zeros(6)
 
         batch = grounding.GroundingBatch(
             ["s0", "s1"],
@@ -117,7 +117,7 @@ class TestMultiPositiveInfonce:
                 return feats / norms[:, None], EncodeCache(feats, feats, norms, feats)
 
             def backward_texts(self, cache, d_unit):
-                return {"head_w": np.zeros((2, 2)), "head_b": np.zeros(2)}
+                return np.zeros(6)
 
         batch = grounding.GroundingBatch(
             ["s0", "s1"], [_ev(0, "pos"), _ev(1, "neg")], {(0, 0), (1, 1)}

@@ -228,6 +228,8 @@ class TestStageRule:
             '{"w_format": 0.2, "w_fromat": 0.2}',
             '{"w_nia": -1}',
             '{"w_nia": "0.5"}',
+            '{"label_cues": []}',
+            '{"biomarker_cues": {"abeta": "amyloid"}}',
         ],
     )
     def test_bad_rules_json_rejected(self, tmp_path, text):

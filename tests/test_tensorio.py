@@ -70,7 +70,7 @@ def test_nonfinite_rejected(tmp_path):
 def test_param_dir_roundtrip(tmp_path):
     params = {"a": np.ones((2, 2)), "b": np.arange(3, dtype=float)}
     tensorio.save_params(tmp_path / "ckpt", params, {"kind": "test", "seed": 7})
-    back, meta = tensorio.load_params(tmp_path / "ckpt")
+    back, meta = tensorio.load_params(tmp_path / "ckpt", ("seed",))
     assert meta["seed"] == 7
     assert set(back) == {"a", "b"}
     np.testing.assert_allclose(back["a"], params["a"])
@@ -85,11 +85,11 @@ def test_manifest_not_json_rejected(tmp_path):
     manifest = _saved_manifest(tmp_path)
     manifest.write_text(manifest.read_text()[:-3])
     with pytest.raises(ValidationError, match="not JSON"):
-        tensorio.load_params(tmp_path / "ckpt")
+        tensorio.load_params(tmp_path / "ckpt", ())
 
 
 def test_manifest_without_params_rejected(tmp_path):
     manifest = _saved_manifest(tmp_path)
     manifest.write_text(json.dumps({"kind": "test"}))
     with pytest.raises(ValidationError, match="params"):
-        tensorio.load_params(tmp_path / "ckpt")
+        tensorio.load_params(tmp_path / "ckpt", ())
