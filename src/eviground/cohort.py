@@ -293,6 +293,10 @@ class GroundingRow:
             d["mask_file"] = self.mask_file
         return d
 
+    @classmethod
+    def from_json(cls, d: dict) -> "GroundingRow":
+        return cls(**tensorio.dataclass_fields(cls, d))
+
 
 def render_gold_report(p: PatientRecord, rules: RuleConfig):
     """Gold report text plus its sentence-evidence links.
@@ -420,10 +424,7 @@ class Cohort:
         if not (root / "records.jsonl").exists():
             raise FileNotFoundError(f"no cohort at {root}")
         records = {r.id: r for r in read_records(root / "records.jsonl")}
-        grounding = [
-            GroundingRow(d["patient_id"], d["sentence"], d["evidence_ids"], d.get("mask_file"))
-            for d in tensorio.read_json_lines(root / "grounding.jsonl")
-        ]
+        grounding = list(tensorio.read_json_lines(root / "grounding.jsonl", GroundingRow.from_json))
         split = tensorio.read_json_object(root / "split.json")
         rules = RuleConfig.load(root / "rules.json")
         return cls(root, records, grounding, split, rules)

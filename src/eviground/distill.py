@@ -4,11 +4,14 @@ A frozen teacher grounder produces soft evidence distributions for the
 sentences of generated reports; a student embedder is trained to match
 them. Teacher outputs are computed once and cached, so they are bitwise
 identical across epochs, and no gradient ever touches teacher parameters.
+The teacher's targets come from one embedding per distinct text (its
+:class:`~eviground.textenc.FrozenTexts` memo), which the held-out recall of
+the teacher reuses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,16 +26,21 @@ from .losses import PROB_FLOOR, LossWithGrad, kl_divergence, softmax
 from .metrics import rank_evidences, recall_at_k
 from .records import PatientRecord
 from .report import ClinicalReport
-from .textenc import Embedder
+from .textenc import Embedder, FrozenTexts
 
 
 @dataclass
 class TeacherGrounder:
-    """Frozen embedder from supervised grounding."""
+    """Frozen embedder from supervised grounding; ``texts`` embeds each
+    distinct text once."""
 
     embedder: Embedder
     tau: float = 0.07
     trained: bool = False
+    texts: FrozenTexts = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.texts = FrozenTexts(self.embedder)
 
 
 @dataclass
@@ -76,7 +84,7 @@ def teacher_evidence_distribution(
     """tau_d-tempered softmax of the teacher's grounding logits."""
     from .grounding import grounding_logits
 
-    logits = grounding_logits(sentence, evidences, teacher.embedder, teacher.tau)
+    logits = grounding_logits(sentence, evidences, teacher.texts, teacher.tau)
     return softmax(logits, temperature=tau_d)
 
 
@@ -134,7 +142,7 @@ def train_student(
             total += cfg.lambda_kl * loss.value
             dz = cfg.lambda_kl * loss.grads["student_logits"]
             d_vs = (dz[None, :] @ v_e) / teacher.tau
-            d_ve = np.outer(dz, v_s.ravel()) / teacher.tau
+            d_ve = dz[:, None] * v_s / teacher.tau  # np.outer(dz, v_s), v_s is one row
             g_s = student.backward_texts(cache_s, d_vs)
             g_e = student.backward_texts(cache_e, d_ve)
             student.flat -= cfg.lr * (g_s + g_e)
@@ -145,11 +153,11 @@ def train_student(
     return student, curve
 
 
-def _split_r3(emb, cohort, split: str, tau: float) -> float:
+def _split_r3(texts: FrozenTexts, cohort, split: str, tau: float) -> float:
     values = []
     for row in cohort.rows_for(split):
         record = cohort.records[row.patient_id]
-        ranked = rank_evidences(row.sentence, record, emb, tau)
+        ranked = rank_evidences(row.sentence, record, texts, tau)
         values.append(recall_at_k(ranked, set(row.evidence_ids), 3))
     return float(np.mean(values))
 
@@ -193,8 +201,8 @@ def label_efficiency_experiment(
         emb_t, _, _ = train_grounding(cohort, base_grounder, patient_ids=labeled)
         teacher = TeacherGrounder(emb_t, tau=base_grounder.tau, trained=True)
         student, _ = train_student(reports, teacher, base_distill)
-        teacher_r3 = _split_r3(teacher.embedder, cohort, "test", base_grounder.tau)
-        student_r3 = _split_r3(student, cohort, "test", base_grounder.tau)
+        teacher_r3 = _split_r3(teacher.texts, cohort, "test", base_grounder.tau)
+        student_r3 = _split_r3(FrozenTexts(student), cohort, "test", base_grounder.tau)
         rows.append(
             {
                 "fraction": fraction,

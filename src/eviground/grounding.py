@@ -58,17 +58,18 @@ def _directional_terms(kap: np.ndarray, positives: list[list[int]], tau: float):
         pos = positives[i]
         if not pos:
             raise NoPositiveError(f"anchor {i} has no positive pair")
-        neg = [j for j in range(n_cands) if j not in set(pos)]
-        neg_sum = float(kap[i, neg].sum()) if neg else 0.0
+        pos_set = set(pos)
+        neg = [j for j in range(n_cands) if j not in pos_set]
+        row, grow = kap[i], grad[i]
+        neg_sum = float(row[neg].sum()) if neg else 0.0
         inv_npos = 1.0 / len(pos)
         for j in pos:
-            denom = kap[i, j] + neg_sum
-            total += -math.log(kap[i, j] / denom) * inv_npos
+            denom = row[j] + neg_sum
+            total += -math.log(row[j] / denom) * inv_npos
             # d(-log(k_ij / D)) / d sim: (k_ij/D - 1)/tau for the positive,
-            # k_ik/(D*tau) for each negative
-            grad[i, j] += (kap[i, j] / denom - 1.0) / tau * inv_npos
-            for k in neg:
-                grad[i, k] += kap[i, k] / (denom * tau) * inv_npos
+            # k_ik/(D*tau) for each negative (elementwise, as a loop over k would)
+            grow[j] += (row[j] / denom - 1.0) / tau * inv_npos
+            grow[neg] += row[neg] / (denom * tau) * inv_npos
     return total / n_anchors, grad / n_anchors
 
 
@@ -109,7 +110,10 @@ def multi_positive_infonce(batch: GroundingBatch, emb, tau: float = 0.07) -> Los
 
 
 def grounding_logits(sentence: str, evidences: list[EvidenceItem], emb, tau: float) -> np.ndarray:
-    """Cosine/tau logits used by both retrieval ranking and distillation."""
+    """Cosine/tau logits used by both retrieval ranking and distillation.
+
+    ``emb`` needs only ``embed_text``, so a :class:`~eviground.textenc.FrozenTexts`
+    memo serves as well as an embedder."""
     if not evidences:
         raise EmptyEvidenceError("no candidate evidences")
     s_vec = emb.embed_text(sentence)

@@ -8,6 +8,7 @@ All arithmetic is double precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,11 +35,13 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimMismatchError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    # np.linalg.norm of a 1-D vector is sqrt(a.dot(a)); min/max clip a scalar
+    # as np.clip does, NaN included
+    na = math.sqrt(a.dot(a))
+    nb = math.sqrt(b.dot(b))
     if na < ZERO_NORM_TOL or nb < ZERO_NORM_TOL:
         raise ZeroNormError("degenerate embedding: vector norm below 1e-12")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    return float(min(max(a.dot(b) / (na * nb), -1.0), 1.0))
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -46,9 +49,9 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     z = np.asarray(logits, dtype=np.float64) / temperature
-    z = z - np.max(z, axis=-1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
@@ -59,7 +62,7 @@ def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
         raise DimMismatchError(f"distribution lengths differ: {q.shape} vs {p.shape}")
     p = np.maximum(p, PROB_FLOOR)
     terms = np.where(q > 0, q * (np.log(np.maximum(q, PROB_FLOOR)) - np.log(p)), 0.0)
-    return float(np.sum(terms))
+    return float(terms.sum())
 
 
 def token_nll(probs: np.ndarray, targets: np.ndarray) -> LossWithGrad:

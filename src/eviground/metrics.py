@@ -13,7 +13,7 @@ from .records import PatientRecord
 from .report import parse_report
 from .rules import EntailmentScorer, RuleConfig, total_reward
 from .segdecoder import SegDecoder, decode_mask
-from .textenc import tokenize
+from .textenc import FrozenTexts, tokenize
 
 
 def recall_at_k(ranked: list[str], gold: set[str], k: int) -> float:
@@ -69,10 +69,11 @@ def eval_grounding(
     from .losses import dice_score
 
     rows = cohort.rows_for(split)
+    texts = FrozenTexts(emb)
     rankings, golds = [], []
     for row in rows:
         record = cohort.records[row.patient_id]
-        rankings.append(rank_evidences(row.sentence, record, emb, tau))
+        rankings.append(rank_evidences(row.sentence, record, texts, tau))
         golds.append(set(row.evidence_ids))
 
     metrics = {
@@ -111,12 +112,13 @@ def chance_map(cohort, split: str, emb, tau: float = 0.07, seed: int = 0, trials
     reassigned at random within each patient's evidence pool."""
     rng = np.random.default_rng(seed)
     rows = cohort.rows_for(split)
+    texts = FrozenTexts(emb)
     rankings = []
     pools = []
     sizes = []
     for row in rows:
         record = cohort.records[row.patient_id]
-        rankings.append(rank_evidences(row.sentence, record, emb, tau))
+        rankings.append(rank_evidences(row.sentence, record, texts, tau))
         pools.append([e.id for e in record.evidence])
         sizes.append(len(row.evidence_ids))
     values = []

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
-from .tensorio import read_json_lines
+from .tensorio import dataclass_fields, read_json_lines
 
 LABELS = ("CN", "MCI", "Dementia")
 EVIDENCE_CATEGORIES = (
@@ -71,8 +71,9 @@ class PatientRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "PatientRecord":
-        d = dict(d)
-        d["evidence"] = [EvidenceItem(**e) for e in d.get("evidence", [])]
+        d = dict(dataclass_fields(cls, d))
+        evidence = d.get("evidence", [])
+        d["evidence"] = [EvidenceItem(**dataclass_fields(EvidenceItem, e)) for e in evidence]
         return cls(**d)
 
 
@@ -83,4 +84,4 @@ def write_records(path: str | Path, records: list[PatientRecord]) -> None:
 
 
 def read_records(path: str | Path) -> list[PatientRecord]:
-    return [PatientRecord.from_json(d) for d in read_json_lines(path)]
+    return list(read_json_lines(path, PatientRecord.from_json))

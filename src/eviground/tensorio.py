@@ -8,11 +8,13 @@ serialized at single precision.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -96,15 +98,48 @@ def read_json_object(path: str | Path) -> dict:
     return data
 
 
-def read_json_lines(path: str | Path) -> Iterator:
-    """Yield the JSON value of each non-blank line of a JSON Lines file."""
+def read_json_lines(path: str | Path, convert: Callable) -> Iterator:
+    """Yield ``convert(value)`` for the JSON value of each non-blank line of a
+    JSON Lines file; a ``ValidationError`` names the file and the line."""
     with open(path, "rb") as fh:  # json.loads decodes bytes, so bad UTF-8 is a ValueError too
         for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
             try:
-                if line.strip():
-                    yield json.loads(line)
+                value = json.loads(line)
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise ValidationError(f"{path}: line {number} is not JSON ({exc})") from exc
+            try:
+                yield convert(value)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {number}: {exc}") from exc
+
+
+@functools.cache
+def _field_names(cls) -> tuple[frozenset, frozenset]:
+    """(all, required) field names of dataclass ``cls``."""
+    fields = dataclasses.fields(cls)
+    required = (
+        f.name
+        for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    )
+    return frozenset(f.name for f in fields), frozenset(required)
+
+
+def dataclass_fields(cls, value) -> dict:
+    """``value`` as keyword arguments of dataclass ``cls``: it must be a JSON
+    object with every required field and no unknown one."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"expected a JSON object, got {type(value).__name__}")
+    names, required = _field_names(cls)
+    keys = value.keys()
+    if keys >= required and keys <= names:
+        return value
+    missing = sorted(required - keys)
+    if missing:
+        raise ValidationError(f"{cls.__name__} is missing fields {missing}")
+    raise ValidationError(f"{cls.__name__} has unknown fields {sorted(keys - names)}")
 
 
 def load_params(directory: str | Path, meta_keys) -> tuple[dict[str, np.ndarray], dict]:

@@ -1,8 +1,13 @@
 """Deterministic toy text embedder: frozen hashed token features with a
-single trainable linear head, mean pooling, and L2 normalization."""
+single trainable linear head, mean pooling, and L2 normalization.
+
+:class:`FrozenTexts` memoizes ``embed_text`` for an embedder whose head no
+longer changes (a frozen teacher, or any embedder under evaluation).
+"""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -12,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import tensorio
-from .errors import EmptyTextError
+from .errors import EmptyTextError, ValidationError
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
@@ -25,6 +30,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def token_bucket(token: str, vocab_hash_dim: int) -> int:
     """Stable 64-bit hash of the token, reduced to a table row."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
@@ -56,6 +62,14 @@ class Embedder:
         embed_dim: int = 32,
         seed: int = 0,
     ):
+        for name, value, low in (
+            ("vocab_hash_dim", vocab_hash_dim, 1),
+            ("base_dim", base_dim, 1),
+            ("embed_dim", embed_dim, 1),
+            ("seed", seed, 0),  # no upper bound: train_student seeds its student with seed + 1
+        ):
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValidationError(f"embedder {name} must be an integer >= {low}, got {value!r}")
         self.vocab_hash_dim = vocab_hash_dim
         self.base_dim = base_dim
         self.embed_dim = embed_dim
@@ -77,8 +91,7 @@ class Embedder:
     # --- forward ------------------------------------------------------------
 
     def token_features(self, tokens: list[str]) -> np.ndarray:
-        rows = [self.base_table[token_bucket(t, self.vocab_hash_dim)] for t in tokens]
-        return np.stack(rows)
+        return self.base_table[[token_bucket(t, self.vocab_hash_dim) for t in tokens]]
 
     def embed_tokens(self, tokens: list[str]) -> np.ndarray:
         """Per-token embeddings (n_tokens, embed_dim), unnormalized."""
@@ -99,7 +112,7 @@ class Embedder:
     def encode_features(self, mean_feats: np.ndarray) -> tuple[np.ndarray, EncodeCache]:
         """Apply the trainable head to precomputed mean features and normalize."""
         pooled = mean_feats @ self.params["head_w"] + self.params["head_b"]
-        norms = np.linalg.norm(pooled, axis=1)
+        norms = np.sqrt(np.add.reduce(pooled * pooled, axis=1))  # np.linalg.norm's axis path
         unit = pooled / norms[:, None]
         return unit, EncodeCache(mean_feats, pooled, norms, unit)
 
@@ -112,9 +125,10 @@ class Embedder:
         Normalization backward: du = (dv - (v . dv) v) / ||u||.
         """
         v = cache.unit
-        inner = np.sum(v * d_unit, axis=1, keepdims=True)
+        inner = np.add.reduce(v * d_unit, axis=1, keepdims=True)
         d_pooled = (d_unit - inner * v) / cache.norms[:, None]
-        return np.concatenate([(cache.mean_features.T @ d_pooled).ravel(), d_pooled.sum(axis=0)])
+        d_b = np.add.reduce(d_pooled, axis=0)
+        return np.concatenate([(cache.mean_features.T @ d_pooled).ravel(), d_b])
 
     # --- checkpoints ----------------------------------------------------------
 
@@ -140,3 +154,20 @@ class Embedder:
         emb = cls(**meta)
         tensorio.copy_params(params, emb.params, directory)
         return emb
+
+
+class FrozenTexts:
+    """``embed_text`` of an embedder that no longer changes, computed once per
+    distinct text. Never wrap an embedder that is still being trained:
+    ``flat`` changes in place and the stored vectors would go stale."""
+
+    def __init__(self, emb: Embedder):
+        self.emb = emb
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def embed_text(self, text: str) -> np.ndarray:
+        vec = self._vectors.get(text)
+        if vec is None:
+            vec = self._vectors[text] = self.emb.embed_text(text)
+            vec.setflags(write=False)
+        return vec

@@ -309,6 +309,29 @@ def test_train_grpo_truncated_cohort_file_exits_1(tmp_path, cohort_dir, capsys, 
     assert name in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "name, line, field",
+    [
+        ("grounding.jsonl", {"sentence": "Memory is low.", "evidence_ids": []}, "patient_id"),
+        ("records.jsonl", {"id": "p9999"}, "demographics"),
+        ("records.jsonl", [1, 2], "JSON object"),
+    ],
+)
+def test_train_grpo_cohort_line_missing_fields_exits_1(
+    tmp_path, cohort_dir, capsys, name, line, field
+):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    with open(cohort / name, "a") as fh:
+        fh.write(json.dumps(line) + "\n")
+    code = cli_main(
+        ["train-grpo", "--cohort", str(cohort), "--out", str(tmp_path / "o"), "--iters", "2"]
+    )
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert name in err and field in err
+
+
 def test_score_report_invalid_rules_config_exits_1(tmp_path, cohort_dir, capsys):
     bad = tmp_path / "rules.json"
     bad.write_text("{not json")
@@ -413,6 +436,15 @@ def test_decoder_checkpoint_missing_tensor_exits_1(
     manifest_path.write_text(json.dumps(manifest))
     err = _eval_grounding_error(cohort_dir, sea_checkpoint, tmp_path / "eval", capsys)
     assert tensor in err
+
+
+def test_embedder_manifest_negative_dim_exits_1(tmp_path, cohort_dir, sea_checkpoint, capsys):
+    manifest_path = sea_checkpoint / "embedder" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["base_dim"] = -1
+    manifest_path.write_text(json.dumps(manifest))
+    err = _eval_grounding_error(cohort_dir, sea_checkpoint, tmp_path / "eval", capsys)
+    assert "base_dim" in err
 
 
 @_SEA_TENSORS

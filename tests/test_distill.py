@@ -104,3 +104,21 @@ class TestLabelEfficiency:
         rows = distill.label_efficiency_experiment(small_cohort, [1.0], cfg, gcfg)
         assert 0.0 <= rows[0]["ratio"] <= 1.05
 
+
+    def test_embeds_each_text_once_per_embedder(self, small_cohort, monkeypatch):
+        seen, owners = [], []
+        embed_text = Embedder.embed_text
+
+        def counting(self, text):
+            owners.append(self)  # keeps id(self) unique while counting
+            seen.append((id(self), text))
+            return embed_text(self, text)
+
+        monkeypatch.setattr(Embedder, "embed_text", counting)
+        distill.label_efficiency_experiment(
+            small_cohort,
+            [1.0],
+            distill.DistillConfig(epochs=1),
+            GrounderConfig(epochs=1, train_decoder=False),
+        )
+        assert seen and len(seen) == len(set(seen))

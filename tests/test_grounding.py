@@ -215,3 +215,40 @@ class TestGroundSentence:
         target = record.evidence[4]  # a cognition descriptor
         probs = grounding.ground_sentence(target.descriptor, record.evidence, emb, tau=0.07)
         assert probs[4] > 0.99
+
+
+def _directional_terms_loop(kap, positives, tau):
+    """The per-element loop that _directional_terms vectorizes, as it was."""
+    n_anchors, n_cands = kap.shape
+    grad = np.zeros_like(kap)
+    total = 0.0
+    for i in range(n_anchors):
+        pos = positives[i]
+        neg = [j for j in range(n_cands) if j not in set(pos)]
+        neg_sum = float(kap[i, neg].sum()) if neg else 0.0
+        inv_npos = 1.0 / len(pos)
+        for j in pos:
+            denom = kap[i, j] + neg_sum
+            total += -math.log(kap[i, j] / denom) * inv_npos
+            grad[i, j] += (kap[i, j] / denom - 1.0) / tau * inv_npos
+            for k in neg:
+                grad[i, k] += kap[i, k] / (denom * tau) * inv_npos
+    return total / n_anchors, grad / n_anchors
+
+
+def test_directional_terms_bit_equal_to_loop():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n_anchors, n_cands = (int(x) for x in rng.integers(1, 15, size=2))
+        n_cands = max(n_cands, 3)
+        tau = float(rng.choice([0.07, 0.5, 1.0]))
+        kap = np.exp(rng.uniform(-1, 1, size=(n_anchors, n_cands)) / tau)
+        positives = [
+            sorted(int(j) for j in rng.choice(n_cands, size=rng.integers(1, 4), replace=False))
+            for _ in range(n_anchors)
+        ]
+        for k in (kap, np.ascontiguousarray(kap.T).T):  # contiguous rows and strided rows
+            loss, grad = grounding._directional_terms(k, positives, tau)
+            want_loss, want_grad = _directional_terms_loop(k, positives, tau)
+            assert loss == want_loss
+            np.testing.assert_array_equal(grad, want_grad)

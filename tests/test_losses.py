@@ -37,6 +37,21 @@ class TestCosineSimilarity:
         with pytest.raises(DimMismatchError):
             losses.cosine_similarity(np.ones(2), np.ones(3))
 
+    def test_bit_equal_to_norm_and_clip_form(self):
+        rng = RNG(0)
+        pairs = []
+        for _ in range(990):
+            d = int(rng.integers(1, 40))
+            pairs.append((rng.normal(size=d), rng.normal(size=d) * 10.0 ** rng.uniform(-6, 6)))
+        for _ in range(5):  # parallel and anti-parallel, where the clip binds
+            a = rng.normal(size=32)
+            pairs.append((a, a * rng.uniform(0.1, 10)))
+            pairs.append((a, -a * rng.uniform(0.1, 10)))
+        for a, b in pairs:
+            norm = np.linalg.norm
+            want = float(np.clip(np.dot(a, b) / (float(norm(a)) * float(norm(b))), -1.0, 1.0))
+            assert losses.cosine_similarity(a, b) == want
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -62,6 +77,17 @@ class TestSoftmax:
         z = np.array(logits)
         np.testing.assert_allclose(losses.softmax(z), losses.softmax(z + shift), atol=1e-12)
 
+    def test_bit_equal_to_wrapper_form(self):
+        rng = RNG(1)
+        for shape in [(7,), (1,), (4, 9), (3, 2, 5)]:
+            for temperature in (0.07, 1.0, 2.0):
+                logits = rng.normal(size=shape) * 20.0
+                z = logits / temperature
+                z = z - np.max(z, axis=-1, keepdims=True)
+                e = np.exp(z)
+                want = e / np.sum(e, axis=-1, keepdims=True)
+                np.testing.assert_array_equal(losses.softmax(logits, temperature), want)
+
 
 class TestKlDivergence:
     def test_identity_is_zero(self):
@@ -83,6 +109,17 @@ class TestKlDivergence:
                 if qi > 0
             )
             assert losses.kl_divergence(q, p) == pytest.approx(brute, abs=1e-12)
+
+    def test_bit_equal_to_wrapper_form(self):
+        rng = RNG(2)
+        for _ in range(200):
+            n = int(rng.integers(1, 20))
+            q = rng.dirichlet(np.ones(n))
+            q[rng.random(n) < 0.2] = 0.0
+            p = rng.dirichlet(np.ones(n) * 0.05)  # some entries fall below the floor
+            pf = np.maximum(p, losses.PROB_FLOOR)
+            terms = np.where(q > 0, q * (np.log(np.maximum(q, losses.PROB_FLOOR)) - np.log(pf)), 0.0)
+            assert losses.kl_divergence(q, p) == float(np.sum(terms))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=60)

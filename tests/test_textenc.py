@@ -134,7 +134,10 @@ class TestEmbedder:
             np.testing.assert_array_equal(emb.params["head_w"], head_w)
             np.testing.assert_array_equal(emb.params["head_b"], head_b)
 
-    @pytest.mark.parametrize("key, value", [("heads", 2), ("base_dim", "8")])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("heads", 2), ("base_dim", "8"), ("base_dim", -1), ("seed", -3), ("vocab_hash_dim", 0)],
+    )
     def test_load_rejects_bad_manifest_dims(self, tmp_path, key, value):
         textenc.Embedder(vocab_hash_dim=16, base_dim=8, embed_dim=4).save(tmp_path / "emb")
         manifest_path = tmp_path / "emb" / "manifest.json"
@@ -144,6 +147,10 @@ class TestEmbedder:
         with pytest.raises(ValidationError, match=key):
             textenc.Embedder.load(tmp_path / "emb")
 
+    def test_seed_has_no_upper_bound(self):
+        # train_student seeds its student with the distill seed + 1, so 2**64 must construct
+        textenc.Embedder(vocab_hash_dim=16, base_dim=8, embed_dim=4, seed=2**64)
+
     def test_load_missing_dim_falls_back_then_shape_check_fails(self, tmp_path):
         textenc.Embedder(vocab_hash_dim=16, base_dim=8, embed_dim=4).save(tmp_path / "emb")
         manifest_path = tmp_path / "emb" / "manifest.json"
@@ -152,3 +159,62 @@ class TestEmbedder:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(DimMismatchError, match="head_w"):
             textenc.Embedder.load(tmp_path / "emb")
+
+
+class TestFastPaths:
+    """Each fast path against the formula it replaced, written out here."""
+
+    def test_encode_features_bit_equal_to_norm_form(self):
+        rng = np.random.default_rng(0)
+        emb = textenc.Embedder(seed=4)
+        emb.flat[...] = rng.normal(size=emb.flat.size)
+        for n in (1, 2, 7, 13):
+            mean_feats = rng.normal(size=(n, emb.base_dim)) * 10.0 ** rng.uniform(-3, 3)
+            unit, cache = emb.encode_features(mean_feats)
+            pooled = mean_feats @ emb.params["head_w"] + emb.params["head_b"]
+            norms = np.linalg.norm(pooled, axis=1)
+            np.testing.assert_array_equal(cache.norms, norms)
+            np.testing.assert_array_equal(unit, pooled / norms[:, None])
+
+    def test_backward_texts_bit_equal_to_sum_form(self):
+        rng = np.random.default_rng(1)
+        emb = textenc.Embedder(seed=5)
+        for n in (1, 3, 12):
+            _, cache = emb.encode_features(rng.normal(size=(n, emb.base_dim)))
+            d_unit = rng.normal(size=(n, emb.embed_dim))
+            inner = np.sum(cache.unit * d_unit, axis=1, keepdims=True)
+            d_pooled = (d_unit - inner * cache.unit) / cache.norms[:, None]
+            want = np.concatenate(
+                [(cache.mean_features.T @ d_pooled).ravel(), np.sum(d_pooled, axis=0)]
+            )
+            np.testing.assert_array_equal(emb.backward_texts(cache, d_unit), want)
+
+    def test_token_features_equal_to_stacked_rows(self):
+        emb = textenc.Embedder(seed=6)
+        tokens = textenc.tokenize("tau tau amyloid level 4,724 mm3 memory recall low")
+        rows = [emb.base_table[textenc.token_bucket(t, emb.vocab_hash_dim)] for t in tokens]
+        np.testing.assert_array_equal(emb.token_features(tokens), np.stack(rows))
+
+
+class TestFrozenTexts:
+    def test_same_vector_and_one_embed_per_text(self, monkeypatch):
+        emb = textenc.Embedder(seed=7)
+        texts = ["memory is low", "tau level high", "memory is low", "CN", "tau level high"]
+        want = [emb.embed_text(t) for t in texts]
+        calls = []
+        embed_text = textenc.Embedder.embed_text
+
+        def counting(self, text):
+            calls.append(text)
+            return embed_text(self, text)
+
+        monkeypatch.setattr(textenc.Embedder, "embed_text", counting)
+        frozen = textenc.FrozenTexts(emb)
+        for text, vec in zip(texts, want):
+            np.testing.assert_array_equal(frozen.embed_text(text), vec)
+        assert calls == ["memory is low", "tau level high", "CN"]
+
+    def test_stored_vectors_are_read_only(self):
+        frozen = textenc.FrozenTexts(textenc.Embedder(seed=8))
+        with pytest.raises(ValueError):
+            frozen.embed_text("memory")[0] = 1.0
