@@ -8,6 +8,7 @@ configuration and seed, so reruns reproduce identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -100,6 +101,10 @@ def _build_parser() -> _Parser:
     p = add("gradcheck", help="finite-difference verification of all gradients")
     p.add_argument("--seeds", type=int, default=50)
 
+    p = add("pipeline", help="run every training and evaluation stage under one directory")
+    p.add_argument("--out", required=True)
+    p.add_argument("--n", type=int, help="number of patients")
+
     return parser
 
 
@@ -124,11 +129,10 @@ def _load_embedder(root: Path) -> Embedder:
 
 def _cmd_generate_cohort(args) -> int:
     cfg = _resolve_config(args)
-    cfg.cohort.seed = cfg.seed
     if args.n is not None:
-        cfg.cohort.n_patients = args.n
+        cfg.cohort = dataclasses.replace(cfg.cohort, n_patients=args.n)
     out = Path(args.out)
-    manifest = generate_cohort(cfg.cohort, out)
+    manifest = generate_cohort(cfg.cohort, out, seed=cfg.seed)
     _write_run_json(out, "generate-cohort", cfg)
     print(f"wrote {len(manifest['files'])} files under {out}")
     return 0
@@ -136,10 +140,9 @@ def _cmd_generate_cohort(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
-    cfg.pretrain.seed = cfg.seed
     cohort = Cohort.load(args.cohort)
     data = pretrain_data_from_cohort(cohort, "train", cfg.pretrain)
-    history = run_pretrain(data, cfg.pretrain)
+    history = run_pretrain(data, cfg.pretrain, seed=cfg.seed)
     out = Path(args.out)
     _write_run_json(out, "pretrain", cfg)
     metrics.write_rows_csv(
@@ -151,9 +154,8 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_train_sea(args) -> int:
     cfg = _resolve_config(args)
-    cfg.grounder.seed = cfg.seed
     cohort = Cohort.load(args.cohort)
-    emb, dec, history = train_grounding(cohort, cfg.grounder)
+    emb, dec, history = train_grounding(cohort, cfg.grounder, seed=cfg.seed)
     out = Path(args.out)
     _write_run_json(out, "train-sea", cfg)
     emb.save(out / "embedder")
@@ -175,12 +177,11 @@ def _cmd_train_sea(args) -> int:
 
 def _cmd_distill(args) -> int:
     cfg = _resolve_config(args)
-    cfg.distill.seed = cfg.seed
     cohort = Cohort.load(args.cohort)
     emb = _load_embedder(Path(args.teacher))
     teacher = TeacherGrounder(emb, tau=cfg.grounder.tau, trained=True)
     reports = generated_reports_for(cohort, cohort.split["train"])
-    student, curve = train_student(reports, teacher, cfg.distill)
+    student, curve = train_student(reports, teacher, cfg.distill, seed=cfg.seed)
     out = Path(args.out)
     _write_run_json(out, "distill", cfg)
     student.save(out / "embedder")
@@ -195,8 +196,6 @@ def _cmd_distill(args) -> int:
 
 def _cmd_label_efficiency(args) -> int:
     cfg = _resolve_config(args)
-    cfg.distill.seed = cfg.seed
-    cfg.grounder.seed = cfg.seed
     try:
         fractions = [float(x) for x in args.fractions.split(",") if x]
     except ValueError as exc:
@@ -204,7 +203,9 @@ def _cmd_label_efficiency(args) -> int:
     cohort = Cohort.load(args.cohort)
     grounder_cfg = cfg.grounder
     grounder_cfg.train_decoder = False
-    rows = label_efficiency_experiment(cohort, fractions, cfg.distill, grounder_cfg)
+    rows = label_efficiency_experiment(
+        cohort, fractions, cfg.distill, grounder_cfg, seed=cfg.seed
+    )
     out = Path(args.out)
     _write_run_json(out, "label-efficiency", cfg)
     metrics.write_rows_csv(
@@ -219,17 +220,14 @@ def _cmd_label_efficiency(args) -> int:
 
 
 def _cmd_train_grpo(args) -> int:
-    import dataclasses
-
     cfg = _resolve_config(args)
-    cfg.rft.seed = cfg.seed
     if args.iters is not None:
         cfg.rft = dataclasses.replace(cfg.rft, iters=args.iters)
     cohort = Cohort.load(args.cohort)
     scorer = LexicalEntailmentScorer(cohort.rules)
     patients = [cohort.records[pid] for pid in cohort.split["train"]]
     policy = ReportPolicy(seed=cfg.seed, rules=cohort.rules)
-    policy, rows = train_rft(policy, patients, cohort.rules, scorer, cfg.rft)
+    policy, rows = train_rft(policy, patients, cohort.rules, scorer, cfg.rft, seed=cfg.seed)
     out = Path(args.out)
     _write_run_json(out, "train-grpo", cfg)
     policy.save(out / "policy")
@@ -277,7 +275,7 @@ def _cmd_eval_consistency(args) -> int:
     cfg = _resolve_config(args)
     cohort = Cohort.load(args.cohort)
     scorer = LexicalEntailmentScorer(cohort.rules)
-    ids = cohort.split[args.split]
+    ids = cohort.split_ids(args.split)
     pairs = []
     if args.policy:
         policy = ReportPolicy.load(args.policy)
@@ -306,6 +304,8 @@ def _cmd_eval_consistency(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ValidationError("--seeds must be at least 1")
     results = gradcheck.run_all(args.seeds)
     failed = False
     for name, err in results.items():
@@ -313,6 +313,37 @@ def _cmd_gradcheck(args) -> int:
         failed |= not ok
         print(f"{name}: max rel err {err:.3e} [{'ok' if ok else 'FAIL'}]")
     return 1 if failed else 0
+
+
+def _cmd_pipeline(args) -> int:
+    """Run the stages one after another, each as its own command would,
+    under <out>/<stage>; stop at the first stage that fails."""
+    out = Path(args.out)
+    cohort, sea = str(out / "cohort"), str(out / "sea")
+    shared = [f"--config={args.config}"] if args.config else []
+    if args.seed is not None:
+        shared += ["--seed", str(args.seed)]
+    n = [] if args.n is None else ["--n", str(args.n)]
+    stages = [
+        ["generate-cohort", "--out", cohort, *n],
+        ["pretrain", "--cohort", cohort, "--out", str(out / "pretrain")],
+        ["train-sea", "--cohort", cohort, "--out", sea],
+        ["distill", "--cohort", cohort, "--teacher", sea, "--out", str(out / "distill")],
+        ["label-efficiency", "--cohort", cohort, "--out", str(out / "label-efficiency")],
+        ["train-grpo", "--cohort", cohort, "--out", str(out / "grpo")],
+        ["eval-grounding", "--cohort", cohort, "--checkpoint", sea,
+         "--out", str(out / "eval-grounding")],
+        ["eval-consistency", "--cohort", cohort, "--policy", str(out / "grpo" / "policy"),
+         "--out", str(out / "eval-consistency")],
+    ]
+    parser = _build_parser()
+    for argv in stages:
+        print(f"== {argv[0]}")
+        stage_args = parser.parse_args(argv + shared)
+        code = _COMMANDS[stage_args.command](stage_args)
+        if code:
+            return code
+    return 0
 
 
 _COMMANDS = {
@@ -326,6 +357,7 @@ _COMMANDS = {
     "eval-grounding": _cmd_eval_grounding,
     "eval-consistency": _cmd_eval_consistency,
     "gradcheck": _cmd_gradcheck,
+    "pipeline": _cmd_pipeline,
 }
 
 
@@ -342,10 +374,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, EvigroundError) as exc:
-        if isinstance(exc, MissingCheckpointError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except MissingCheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except EvigroundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -38,7 +38,6 @@ STRUCTURES = ("left_hippocampus", "right_hippocampus")
 @dataclass
 class CohortConfig:
     n_patients: int = 100
-    seed: int = 0
     label_mix: tuple = (1 / 3, 1 / 3, 1 / 3)  # CN, MCI, Dementia proportions
     volume_dim: int = 16
     noise: float = 0.02
@@ -351,14 +350,15 @@ def _label_counts(mix, n: int) -> list[int]:
     return counts
 
 
-def generate_cohort(cfg: CohortConfig, out_dir: str | Path) -> dict:
-    """Write the full dataset layout and return the manifest."""
+def generate_cohort(cfg: CohortConfig, out_dir: str | Path, *, seed: int) -> dict:
+    """Write the full dataset layout and return the manifest; per-patient
+    seeds derive from ``(seed, index)``."""
     out = Path(out_dir)
     (out / "volumes").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
 
-    master = np.random.default_rng(cfg.seed)
+    master = np.random.default_rng(seed)
     counts = _label_counts(cfg.label_mix, cfg.n_patients)
     labels = [label for label, c in zip(LABELS, counts) for _ in range(c)]
     master.shuffle(labels)
@@ -367,7 +367,7 @@ def generate_cohort(cfg: CohortConfig, out_dir: str | Path) -> dict:
     grounding_rows: list[GroundingRow] = []
     for i, label in enumerate(labels):
         pid = f"p{i:04d}"
-        record, volume, masks = generate_patient(cfg, [cfg.seed, i], label)
+        record, volume, masks = generate_patient(cfg, [seed, i], label)
         record.id = pid
         tensorio.save_tensor(out / "volumes" / f"{pid}.emad", volume)
         for structure, mask in masks.items():
@@ -400,7 +400,7 @@ def generate_cohort(cfg: CohortConfig, out_dir: str | Path) -> dict:
     (out / "split.json").write_text(json.dumps(split, indent=2))
     cfg.rules.save(out / "rules.json")
 
-    manifest = {"seed": cfg.seed, "config": cfg.to_json(), "files": {}}
+    manifest = {"seed": seed, "config": cfg.to_json(), "files": {}}
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             manifest["files"][str(path.relative_to(out))] = tensorio.file_sha256(path)
@@ -438,6 +438,13 @@ class Cohort:
     def gold_report(self, pid: str) -> str:
         return (self.root / "reports" / f"{pid}.txt").read_text()
 
+    def split_ids(self, split_name: str) -> list[str]:
+        if split_name not in self.split:
+            raise ValidationError(
+                f"unknown split {split_name!r}; the cohort has {sorted(self.split)}"
+            )
+        return self.split[split_name]
+
     def rows_for(self, split_name: str) -> list[GroundingRow]:
-        ids = set(self.split[split_name])
+        ids = set(self.split_ids(split_name))
         return [row for row in self.grounding if row.patient_id in ids]

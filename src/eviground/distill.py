@@ -49,7 +49,6 @@ class DistillConfig:
     lambda_kl: float = 1.0
     epochs: int = 20
     lr: float = 0.5
-    seed: int = 0
     init_from_teacher: bool = False
 
     def __post_init__(self):
@@ -92,6 +91,8 @@ def train_student(
     reports: list[tuple[PatientRecord, ClinicalReport]],
     teacher: TeacherGrounder,
     cfg: DistillConfig,
+    *,
+    seed: int,
 ) -> tuple[Embedder, list[float]]:
     """Minimize lambda_kl * distill loss over all generated sentences.
 
@@ -110,7 +111,7 @@ def train_student(
             teacher.embedder.vocab_hash_dim,
             teacher.embedder.base_dim,
             teacher.embedder.embed_dim,
-            seed=cfg.seed + 1,
+            seed=seed + 1,
         )
     )
     teacher_before = teacher.embedder.flat.copy()
@@ -129,7 +130,7 @@ def train_student(
     if not items:
         raise EmptyDatasetError("generated reports contain no sentences")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     curve = []
     for _ in range(cfg.epochs):
         total = 0.0
@@ -178,13 +179,17 @@ def label_efficiency_experiment(
     fractions: list[float],
     distill_cfg: DistillConfig | None = None,
     grounder_cfg: GrounderConfig | None = None,
+    *,
+    seed: int,
 ) -> list[dict]:
     """Per fraction: teacher on the labeled subset, student distilled on all
     generated train reports, both evaluated on the held-out split."""
+    if not fractions:
+        raise ValidationError("no label fractions given")
     base_distill = distill_cfg or DistillConfig()
     base_grounder = grounder_cfg or GrounderConfig(train_decoder=False)
     train_ids = list(cohort.split["train"])
-    rng = np.random.default_rng(base_distill.seed)
+    rng = np.random.default_rng(seed)
     shuffled = list(rng.permutation(train_ids))
     reports = generated_reports_for(cohort, train_ids)
 
@@ -198,9 +203,9 @@ def label_efficiency_experiment(
                 f"fraction {fraction} keeps only {n_labeled} labeled patients"
             )
         labeled = shuffled[:n_labeled]
-        emb_t, _, _ = train_grounding(cohort, base_grounder, patient_ids=labeled)
+        emb_t, _, _ = train_grounding(cohort, base_grounder, patient_ids=labeled, seed=seed)
         teacher = TeacherGrounder(emb_t, tau=base_grounder.tau, trained=True)
-        student, _ = train_student(reports, teacher, base_distill)
+        student, _ = train_student(reports, teacher, base_distill, seed=seed)
         teacher_r3 = _split_r3(teacher.texts, cohort, "test", base_grounder.tau)
         student_r3 = _split_r3(FrozenTexts(student), cohort, "test", base_grounder.tau)
         rows.append(

@@ -146,7 +146,6 @@ class GrounderConfig:
     decoder_epochs: int = 60
     decoder_lr: float = 2e-3
     decoder_layers: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.tau <= 0 or self.lr <= 0:
@@ -166,7 +165,9 @@ def batch_from_rows(record, rows) -> GroundingBatch:
     return GroundingBatch([row.sentence for row in rows], list(record.evidence), pairs)
 
 
-def train_grounding(cohort, cfg: GrounderConfig, patient_ids: list[str] | None = None):
+def train_grounding(
+    cohort, cfg: GrounderConfig, patient_ids: list[str] | None = None, *, seed: int
+):
     """Fit the embedder on per-patient contrastive batches, then the mask
     decoder on (volume tokens, evidence tokens, mask) triples.
 
@@ -185,7 +186,7 @@ def train_grounding(cohort, cfg: GrounderConfig, patient_ids: list[str] | None =
         if row.patient_id in wanted:
             by_patient.setdefault(row.patient_id, []).append(row)
 
-    emb = Embedder(seed=cfg.seed)
+    emb = Embedder(seed=seed)
     prepared = []
     for pid in ids:
         record = cohort.records[pid]
@@ -199,7 +200,7 @@ def train_grounding(cohort, cfg: GrounderConfig, patient_ids: list[str] | None =
             )
         )
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     se_curve = []
     for _ in range(cfg.epochs):
         total = 0.0
@@ -217,7 +218,7 @@ def train_grounding(cohort, cfg: GrounderConfig, patient_ids: list[str] | None =
             volume_dim=cohort.volume(ids[0]).shape[0],
             layers=cfg.decoder_layers,
             token_dim=emb.embed_dim,
-            seed=cfg.seed,
+            seed=seed,
         )
         decoder = SegDecoder(dec_cfg)
         samples = []
@@ -238,6 +239,6 @@ def train_grounding(cohort, cfg: GrounderConfig, patient_ids: list[str] | None =
             lambda_mask=cfg.lambda_mask,
             lambda_dice=cfg.lambda_dice,
             lambda_bce=cfg.lambda_bce,
-            seed=cfg.seed,
+            seed=seed,
         )
     return emb, decoder, {"l_se": se_curve, "l_mask": mask_curve}

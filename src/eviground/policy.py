@@ -377,7 +377,6 @@ class RftConfig:
     beta: float = 0.1
     iters: int = 500
     lr: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.group_size < 2:
@@ -394,6 +393,8 @@ def train_rft(
     rule_cfg: RuleConfig,
     scorer: EntailmentScorer,
     cfg: RftConfig,
+    *,
+    seed: int,
 ) -> tuple[ReportPolicy, list[dict]]:
     """sample -> score -> normalize -> single update per group.
 
@@ -403,7 +404,7 @@ def train_rft(
     if not patients:
         raise ValidationError("no patients to train on")
     ref = policy.copy()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     rows = []
     for it in range(cfg.iters):
         patient = patients[int(rng.integers(len(patients)))]

@@ -108,7 +108,6 @@ class PretrainConfig:
     ema_momentum: float = 0.995
     use_momentum_negatives: bool = False
     max_text_tokens: int = 24
-    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 2:
@@ -161,13 +160,13 @@ def pretrain_data_from_cohort(cohort, split: str = "train", cfg: PretrainConfig 
     return PretrainData(img_pooled, volumes, txt_feats, token_ids, helper.vocab_hash_dim)
 
 
-def run_pretrain(data: PretrainData, cfg: PretrainConfig) -> list[dict]:
+def run_pretrain(data: PretrainData, cfg: PretrainConfig, *, seed: int) -> list[dict]:
     """Train linear encoders with ITC plus reconstruction; returns step logs.
 
     Momentum copies of both encoders are maintained by EMA; when enabled
     they contribute extra in-batch negatives to the contrastive loss.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n, img_dim = data.img_pooled.shape
     txt_dim = data.txt_feats.shape[1]
     d = 32

@@ -11,7 +11,7 @@ from eviground.cohort import Cohort, CohortConfig, generate_cohort
 def small_cohort(tmp_path_factory) -> Cohort:
     """24 patients; enough structure for unit tests, fast to build."""
     root = tmp_path_factory.mktemp("small_cohort")
-    generate_cohort(CohortConfig(n_patients=24, seed=11), root)
+    generate_cohort(CohortConfig(n_patients=24), root, seed=11)
     return Cohort.load(root)
 
 
@@ -19,7 +19,7 @@ def small_cohort(tmp_path_factory) -> Cohort:
 def default_cohort(tmp_path_factory) -> Cohort:
     """The default 100-patient cohort used by the acceptance criteria."""
     root = tmp_path_factory.mktemp("default_cohort")
-    generate_cohort(CohortConfig(n_patients=100, seed=0), root)
+    generate_cohort(CohortConfig(n_patients=100), root, seed=0)
     return Cohort.load(root)
 
 
@@ -31,5 +31,5 @@ def trained_sea(default_cohort):
     from eviground.grounding import GrounderConfig, train_grounding
 
     start = time.time()
-    emb, dec, _ = train_grounding(default_cohort, GrounderConfig(seed=0))
+    emb, dec, _ = train_grounding(default_cohort, GrounderConfig(), seed=0)
     return emb, dec, time.time() - start

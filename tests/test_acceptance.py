@@ -244,7 +244,7 @@ def rft_run(default_cohort):
     degraded = P.ReportPolicy(rules=default_cohort.rules)  # uniform everywhere
     start = time.time()
     trained, rows = P.train_rft(
-        degraded.copy(), train, default_cohort.rules, scorer, P.RftConfig(iters=500, seed=0)
+        degraded.copy(), train, default_cohort.rules, scorer, P.RftConfig(iters=500), seed=0
     )
     elapsed = time.time() - start
     return degraded, trained, rows, elapsed
@@ -310,6 +310,7 @@ def test_criterion_7_label_efficiency(default_cohort):
         [0.25, 1.0],
         DistillConfig(),
         GrounderConfig(train_decoder=False),
+        seed=0,
     )
     elapsed = time.time() - start
     by_fraction = {row["fraction"]: row for row in rows}
@@ -340,8 +341,8 @@ def test_criterion_8_roundtrip_and_determinism(default_cohort, tmp_path):
         assert reparsed.confidence == parsed.confidence
 
     # fixed seed reproduces identical manifest hashes
-    m1 = generate_cohort(CohortConfig(n_patients=12, seed=123), tmp_path / "a")
-    m2 = generate_cohort(CohortConfig(n_patients=12, seed=123), tmp_path / "b")
+    m1 = generate_cohort(CohortConfig(n_patients=12), tmp_path / "a", seed=123)
+    m2 = generate_cohort(CohortConfig(n_patients=12), tmp_path / "b", seed=123)
     assert m1["files"] == m2["files"]
 
     # split ratios exactly 70/10/20 by subject

@@ -1,13 +1,15 @@
 """CLI exit codes, output contracts, and rerun reproducibility."""
 
 import json
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eviground import tensorio
-from eviground.cli import cli_main
+from eviground.cli import _build_parser, cli_main
 from eviground.cohort import Cohort
 from eviground.distill import DistillConfig, label_efficiency_experiment
 from eviground.grounding import GrounderConfig
@@ -258,8 +260,9 @@ def test_label_efficiency_seed_reaches_teacher(tmp_path, cohort_dir):
     rows = label_efficiency_experiment(
         Cohort.load(cohort_dir),
         [1.0],
-        DistillConfig(seed=3, epochs=2),
-        GrounderConfig(train_decoder=False, seed=3, epochs=1),
+        DistillConfig(epochs=2),
+        GrounderConfig(train_decoder=False, epochs=1),
+        seed=3,
     )
     want = tmp_path / "want.csv"
     write_rows_csv(want, rows, ["fraction", "teacher_r3", "student_r3", "ratio"])
@@ -270,6 +273,58 @@ def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+@pytest.mark.parametrize("section", ["cohort", "grounder", "distill", "rft", "pretrain"])
+def test_config_section_seed_exits_1(tmp_path, capsys, section):
+    # the top-level seed seeds every stage; a section seed would be ignored
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({section: {"seed": 1}}))
+    code = cli_main(
+        ["generate-cohort", "--out", str(tmp_path / "c"), "--n", "4", "--config", str(cfg)]
+    )
+    assert code == 1
+    assert f"unknown keys in {section}: ['seed']" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_generate_cohort_nonpositive_n_exits_1(tmp_path, capsys, n):
+    assert cli_main(["generate-cohort", "--out", str(tmp_path / "c"), "--n", n]) == 1
+    assert "n_patients" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_gradcheck_nonpositive_seeds_exits_1(capsys, seeds):
+    assert cli_main(["gradcheck", "--seeds", seeds]) == 1
+    assert "--seeds" in _one_line_error(capsys)
+
+
+def test_label_efficiency_no_fractions_exits_1(tmp_path, cohort_dir, capsys):
+    code = cli_main(
+        ["label-efficiency", "--cohort", str(cohort_dir), "--out", str(tmp_path / "le"),
+         "--fractions", ""]
+    )
+    assert code == 1
+    _one_line_error(capsys)
+    assert not (tmp_path / "le" / "label_efficiency.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-consistency", "--reports", "{cohort}/reports"],
+        ["eval-grounding", "--checkpoint", "{sea}"],
+    ],
+)
+def test_eval_unknown_split_exits_1(tmp_path, cohort_dir, capsys, argv):
+    sea = tmp_path / "sea"
+    Embedder().save(sea / "embedder")
+    argv = [a.format(cohort=cohort_dir, sea=sea) for a in argv]
+    code = cli_main(
+        argv + ["--cohort", str(cohort_dir), "--out", str(tmp_path / "o"), "--split", "nosuch"]
+    )
+    assert code == 1
+    assert "'nosuch'" in _one_line_error(capsys)
 
 
 def test_config_seed_out_of_range_exits_1(tmp_path, cohort_dir, capsys):
@@ -497,3 +552,64 @@ def test_policy_checkpoint_truncated_header_exits_1(
     path.write_bytes(path.read_bytes()[:7])
     err = _eval_consistency_error(cohort_dir, policy_checkpoint, tmp_path / "eval", capsys)
     assert "truncated header" in err
+
+
+def _files(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_pipeline_matches_stage_commands(tmp_path, capsys):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({
+        "grounder": {"epochs": 1, "decoder_epochs": 1},
+        "pretrain": {"steps": 10},
+        "distill": {"epochs": 1},
+        "rft": {"iters": 20},
+    }))
+    flags = ["--seed", "3", "--config", str(cfg)]
+    piped = tmp_path / "piped"
+    assert cli_main(["pipeline", "--out", str(piped), "--n", "48"] + flags) == 0
+
+    one = tmp_path / "one"
+    cohort, sea, grpo = str(one / "cohort"), str(one / "sea"), str(one / "grpo")
+    for argv in [
+        ["generate-cohort", "--out", cohort, "--n", "48"],
+        ["pretrain", "--cohort", cohort, "--out", str(one / "pretrain")],
+        ["train-sea", "--cohort", cohort, "--out", sea],
+        ["distill", "--cohort", cohort, "--teacher", sea, "--out", str(one / "distill")],
+        ["label-efficiency", "--cohort", cohort, "--out", str(one / "label-efficiency")],
+        ["train-grpo", "--cohort", cohort, "--out", grpo],
+        ["eval-grounding", "--cohort", cohort, "--checkpoint", sea,
+         "--out", str(one / "eval-grounding")],
+        ["eval-consistency", "--cohort", cohort, "--policy", f"{grpo}/policy",
+         "--out", str(one / "eval-consistency")],
+    ]:
+        assert cli_main(argv + flags) == 0, argv
+    want = _files(one)
+    assert {name.split("/")[0] for name in want} == {
+        "cohort", "pretrain", "sea", "distill", "label-efficiency", "grpo",
+        "eval-grounding", "eval-consistency",
+    }
+    assert _files(piped) == want
+
+
+def test_pipeline_nonpositive_n_exits_1(tmp_path, capsys):
+    assert cli_main(["pipeline", "--out", str(tmp_path / "p"), "--n", "0"]) == 1
+    assert "n_patients" in _one_line_error(capsys)
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = [
+        line
+        for line in readme.replace("\\\n", " ").splitlines()
+        if line.startswith("eviground ")
+    ]
+    assert len(commands) >= 10
+    parser = _build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

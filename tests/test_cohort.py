@@ -17,20 +17,20 @@ from eviground.rules import (
 
 class TestGeneratePatient:
     def test_cn_biomarkers_all_normal_side(self):
-        cfg = C.CohortConfig(n_patients=1, seed=0)
+        cfg = C.CohortConfig(n_patients=1)
         for seed in range(10):
             record, _, _ = C.generate_patient(cfg, seed, "CN")
             for marker in ("abeta", "ttau", "ptau"):
                 assert not biomarker_abnormal(marker, record.biomarkers[marker], cfg.rules)
 
     def test_dementia_abeta_below_threshold(self):
-        cfg = C.CohortConfig(n_patients=1, seed=0)
+        cfg = C.CohortConfig(n_patients=1)
         for seed in range(10):
             record, _, _ = C.generate_patient(cfg, seed, "Dementia")
             assert record.biomarkers["abeta"] < cfg.rules.abeta_abnormal_below
 
     def test_bitwise_determinism(self):
-        cfg = C.CohortConfig(n_patients=1, seed=0)
+        cfg = C.CohortConfig(n_patients=1)
         r1, v1, m1 = C.generate_patient(cfg, 7, "MCI")
         r2, v2, m2 = C.generate_patient(cfg, 7, "MCI")
         assert r1.biomarkers == r2.biomarkers
@@ -40,14 +40,14 @@ class TestGeneratePatient:
             np.testing.assert_array_equal(m1[key], m2[key])
 
     def test_masks_match_analytic_support(self):
-        cfg = C.CohortConfig(n_patients=1, seed=0)
+        cfg = C.CohortConfig(n_patients=1)
         _, volume, masks = C.generate_patient(cfg, 3, "CN")
         for mask in masks.values():
             assert set(np.unique(mask)) <= {0.0, 1.0}
             assert 20 < mask.sum() < 400
 
     def test_radius_shrinks_with_stage(self):
-        cfg = C.CohortConfig(n_patients=1, seed=0)
+        cfg = C.CohortConfig(n_patients=1)
         sizes = {}
         for label in ("CN", "MCI", "Dementia"):
             vols = []
@@ -107,13 +107,13 @@ class TestGenerateCohort:
         assert len(set(all_ids)) == 100  # subject-wise, disjoint
 
     def test_same_seed_same_manifest(self, tmp_path):
-        m1 = C.generate_cohort(C.CohortConfig(n_patients=8, seed=4), tmp_path / "a")
-        m2 = C.generate_cohort(C.CohortConfig(n_patients=8, seed=4), tmp_path / "b")
+        m1 = C.generate_cohort(C.CohortConfig(n_patients=8), tmp_path / "a", seed=4)
+        m2 = C.generate_cohort(C.CohortConfig(n_patients=8), tmp_path / "b", seed=4)
         assert m1["files"] == m2["files"]
 
     def test_label_mix_all_cn(self, tmp_path):
         C.generate_cohort(
-            C.CohortConfig(n_patients=6, seed=1, label_mix=(1.0, 0.0, 0.0)), tmp_path / "cn"
+            C.CohortConfig(n_patients=6, label_mix=(1.0, 0.0, 0.0)), tmp_path / "cn", seed=1
         )
         loaded = C.Cohort.load(tmp_path / "cn")
         assert all(r.gt_label == "CN" for r in loaded.records.values())
@@ -142,7 +142,7 @@ class TestGenerateCohort:
 def test_generator_rule_consistency_random_seed_sweep():
     from eviground.rules import stage_from_values
 
-    cfg = C.CohortConfig(n_patients=1, seed=0)
+    cfg = C.CohortConfig(n_patients=1)
     rng = np.random.default_rng(2024)
     for _ in range(40):
         label = ("CN", "MCI", "Dementia")[int(rng.integers(3))]

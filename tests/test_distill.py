@@ -53,7 +53,7 @@ class TestDistillLoss:
 @pytest.fixture(scope="module")
 def teacher(small_cohort):
     emb, _, _ = train_grounding(
-        small_cohort, GrounderConfig(epochs=8, train_decoder=False, seed=0)
+        small_cohort, GrounderConfig(epochs=8, train_decoder=False), seed=0
     )
     return distill.TeacherGrounder(emb, tau=0.07, trained=True)
 
@@ -67,20 +67,20 @@ class TestTrainStudent:
     def test_untrained_teacher_rejected(self, small_cohort, train_reports):
         bad = distill.TeacherGrounder(Embedder(seed=0), trained=False)
         with pytest.raises(UntrainedTeacherError):
-            distill.train_student(train_reports, bad, distill.DistillConfig())
+            distill.train_student(train_reports, bad, distill.DistillConfig(), seed=0)
 
     def test_empty_reports_rejected(self, teacher):
         with pytest.raises(EmptyDatasetError):
-            distill.train_student([], teacher, distill.DistillConfig())
+            distill.train_student([], teacher, distill.DistillConfig(), seed=0)
 
     def test_student_at_teacher_weights_starts_at_zero_loss(self, teacher, train_reports):
         cfg = distill.DistillConfig(epochs=1, lr=0.0, init_from_teacher=True)
-        _, curve = distill.train_student(train_reports, teacher, cfg)
+        _, curve = distill.train_student(train_reports, teacher, cfg, seed=0)
         assert curve[0] <= 1e-9
 
     def test_loss_strictly_decreases_over_first_epochs_smoothed(self, teacher, train_reports):
-        cfg = distill.DistillConfig(epochs=12, lr=0.5, seed=1)
-        _, curve = distill.train_student(train_reports, teacher, cfg)
+        cfg = distill.DistillConfig(epochs=12, lr=0.5)
+        _, curve = distill.train_student(train_reports, teacher, cfg, seed=1)
         smoothed = np.convolve(curve, np.ones(3) / 3, mode="valid")[:10]
         for a, b in zip(smoothed, smoothed[1:]):
             assert b < a
@@ -88,7 +88,7 @@ class TestTrainStudent:
     def test_teacher_bitwise_frozen(self, teacher, train_reports):
         before = teacher.embedder.flat.copy()
         distill.train_student(
-            train_reports, teacher, distill.DistillConfig(epochs=2, lr=0.5)
+            train_reports, teacher, distill.DistillConfig(epochs=2, lr=0.5), seed=0
         )
         assert np.array_equal(before, teacher.embedder.flat)
 
@@ -96,12 +96,12 @@ class TestTrainStudent:
 class TestLabelEfficiency:
     def test_insufficient_labels(self, small_cohort):
         with pytest.raises(InsufficientLabelsError):
-            distill.label_efficiency_experiment(small_cohort, [0.1])
+            distill.label_efficiency_experiment(small_cohort, [0.1], seed=0)
 
     def test_ratio_band(self, small_cohort):
         cfg = distill.DistillConfig(epochs=8)
         gcfg = GrounderConfig(epochs=8, train_decoder=False)
-        rows = distill.label_efficiency_experiment(small_cohort, [1.0], cfg, gcfg)
+        rows = distill.label_efficiency_experiment(small_cohort, [1.0], cfg, gcfg, seed=0)
         assert 0.0 <= rows[0]["ratio"] <= 1.05
 
 
@@ -120,5 +120,6 @@ class TestLabelEfficiency:
             [1.0],
             distill.DistillConfig(epochs=1),
             GrounderConfig(epochs=1, train_decoder=False),
+            seed=0,
         )
         assert seen and len(seen) == len(set(seen))

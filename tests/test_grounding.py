@@ -208,7 +208,7 @@ class TestGroundSentence:
         from eviground.grounding import GrounderConfig, train_grounding
 
         emb, _, _ = train_grounding(
-            small_cohort, GrounderConfig(epochs=8, train_decoder=False, seed=0)
+            small_cohort, GrounderConfig(epochs=8, train_decoder=False), seed=0
         )
         pid = small_cohort.split["test"][0]
         record = small_cohort.records[pid]

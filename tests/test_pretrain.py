@@ -121,7 +121,7 @@ class TestRunPretrain:
 
     def test_combined_loss_decreases_over_200_steps(self):
         data = self._synthetic_data()
-        hist = pretrain.run_pretrain(data, pretrain.PretrainConfig(steps=200, seed=0))
+        hist = pretrain.run_pretrain(data, pretrain.PretrainConfig(steps=200), seed=0)
         first = np.mean([h["l_pt"] for h in hist[:20]])
         last = np.mean([h["l_pt"] for h in hist[-20:]])
         assert last < first
@@ -129,14 +129,14 @@ class TestRunPretrain:
     def test_lambda_res_zero_reduces_to_itc(self):
         data = self._synthetic_data()
         hist = pretrain.run_pretrain(
-            data, pretrain.PretrainConfig(steps=5, lambda_res=0.0, seed=1)
+            data, pretrain.PretrainConfig(steps=5, lambda_res=0.0), seed=1
         )
         for row in hist:
             assert row["l_pt"] == pytest.approx(row["l_itc"], abs=1e-12)
 
     def test_log_columns(self):
         data = self._synthetic_data()
-        hist = pretrain.run_pretrain(data, pretrain.PretrainConfig(steps=3, seed=2))
+        hist = pretrain.run_pretrain(data, pretrain.PretrainConfig(steps=3), seed=2)
         assert list(hist[0]) == ["step", "l_itc", "l_res_v", "l_res_t", "l_pt"]
 
 
@@ -144,8 +144,8 @@ class TestMomentumNegatives:
     def test_flag_adds_negative_columns_without_breaking(self):
         rng = np.random.default_rng(7)
         data = TestRunPretrain._synthetic_data(TestRunPretrain(), n=12, seed=7)
-        cfg = pretrain.PretrainConfig(steps=20, use_momentum_negatives=True, seed=7)
-        hist = pretrain.run_pretrain(data, cfg)
+        cfg = pretrain.PretrainConfig(steps=20, use_momentum_negatives=True)
+        hist = pretrain.run_pretrain(data, cfg, seed=7)
         assert len(hist) == 20
         assert all(np.isfinite(row["l_pt"]) for row in hist)
 

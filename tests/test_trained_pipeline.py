@@ -18,8 +18,9 @@ def test_training_loss_decreases(default_cohort):
 
     _, _, history = train_grounding(
         default_cohort,
-        GrounderConfig(epochs=6, train_decoder=False, seed=1),
+        GrounderConfig(epochs=6, train_decoder=False),
         patient_ids=default_cohort.split["train"][:20],
+        seed=1,
     )
     curve = history["l_se"]
     assert curve[-1] < curve[0]
@@ -31,8 +32,8 @@ def test_lambda_mask_zero_leaves_decoder_untouched(small_cohort):
     from eviground.grounding import GrounderConfig, train_grounding
     from eviground.segdecoder import SegDecoder, SegDecoderConfig
 
-    cfg = GrounderConfig(epochs=2, lambda_mask=0.0, train_decoder=True, seed=5)
-    _, dec, history = train_grounding(small_cohort, cfg)
+    cfg = GrounderConfig(epochs=2, lambda_mask=0.0, train_decoder=True)
+    _, dec, history = train_grounding(small_cohort, cfg, seed=5)
     fresh = SegDecoder(SegDecoderConfig(seed=5))
     assert history["l_mask"] == []
     for key, value in fresh.params.items():
