@@ -400,10 +400,15 @@ def generate_cohort(cfg: CohortConfig, out_dir: str | Path, *, seed: int) -> dic
     (out / "split.json").write_text(json.dumps(split, indent=2))
     cfg.rules.save(out / "rules.json")
 
+    # hash only what this call wrote: files an earlier run left under out
+    # are not part of this cohort
+    written = ["records.jsonl", "grounding.jsonl", "split.json", "rules.json"]
+    for record in records:
+        written += [f"volumes/{record.id}.emad", f"reports/{record.id}.txt"]
+        written += record.mask_files.values()
     manifest = {"seed": seed, "config": cfg.to_json(), "files": {}}
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            manifest["files"][str(path.relative_to(out))] = tensorio.file_sha256(path)
+    for rel in sorted(written):
+        manifest["files"][rel] = tensorio.file_sha256(out / rel)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 

@@ -19,6 +19,9 @@ UNPARSED = "Unparsed"
 
 _HEADER = re.compile(r"^\s*\[([^\[\]]+)\]\s*$")
 _ABBREVIATIONS = ("e.g.", "i.e.", "vs.", "mm.", "dr.")
+_ABBREVIATION_SIZES = sorted({len(a) for a in _ABBREVIATIONS})
+# \s matches exactly the code points for which str.isspace() holds
+_TERMINATOR = re.compile(r"[.!?](?=\s|\Z)")
 
 _DIAGNOSIS_SYNONYMS = {
     "cn": "CN",
@@ -54,30 +57,33 @@ def segment_sentences(reasoning: str) -> list[str]:
     """
     sentences = []
     start = 0
-    n = len(reasoning)
-    for i, ch in enumerate(reasoning):
-        if ch not in ".!?":
+    for m in _TERMINATOR.finditer(reasoning):
+        end = m.end()
+        if m.group() == "." and _ends_with_abbreviation(reasoning, end):
             continue
-        if i + 1 < n and not reasoning[i + 1].isspace():
-            continue
-        if ch == "." and _ends_with_abbreviation(reasoning, i):
-            continue
-        segment = reasoning[start : i + 1].strip()
+        segment = reasoning[start:end].strip()
         if segment:
             sentences.append(segment)
-        start = i + 1
+        start = end
     tail = reasoning[start:].strip()
     if tail:
         sentences.append(tail)
     return sentences
 
 
-def _ends_with_abbreviation(text: str, dot_index: int) -> bool:
-    j = dot_index
-    while j > 0 and not text[j - 1].isspace():
-        j -= 1
-    token = text[j : dot_index + 1].lower()
-    return token in _ABBREVIATIONS
+def _ends_with_abbreviation(text: str, end: int) -> bool:
+    """Whether the whitespace-delimited word ending at ``text[end - 1]`` is
+    an abbreviation; ``lower`` keeps the length of any word that can lower
+    to one, so only words of an abbreviation's length are read."""
+    for size in _ABBREVIATION_SIZES:
+        start = end - size
+        if (
+            start >= 0
+            and (start == 0 or text[start - 1].isspace())
+            and text[start:end].lower() in _ABBREVIATIONS
+        ):
+            return True
+    return False
 
 
 def parse_report(text: str) -> ClinicalReport:

@@ -8,6 +8,7 @@ ground truth.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import asdict, dataclass, field, fields
@@ -96,6 +97,22 @@ class RuleConfig:
                 for k, v in cues.items()
             ):
                 raise ValidationError(f"{name} must map strings to lists of strings")
+            for cue in (c for v in cues.values() for c in v):
+                if not cue:
+                    raise ValidationError(f"{name} holds an empty cue")
+                if cue != cue.lower():  # reward text is lowercased before matching
+                    raise ValidationError(f"{name} cue {cue!r} has an uppercase letter")
+        for name, keys in (
+            ("domain_cues", COGNITIVE_DOMAINS),
+            ("biomarker_cues", BIOMARKERS),
+        ):
+            if set(getattr(self, name)) != set(keys):
+                raise ValidationError(
+                    f"{name} keys must be exactly {list(keys)}, got {sorted(getattr(self, name))}"
+                )
+        unknown = set(self.label_cues) - set(LABELS)
+        if unknown:
+            raise ValidationError(f"label_cues keys must be among {list(LABELS)}, got {sorted(unknown)}")
 
     def max_total(self) -> float:
         return self.w_format + self.w_nia + self.w_consistency
@@ -204,35 +221,70 @@ def _safe_tokens(text: str) -> list[str]:
         return []
 
 
+@dataclass(frozen=True, slots=True)
+class SentenceFacts:
+    """What the rules read from one sentence, independent of any RuleConfig."""
+
+    low: str  # the lowercased sentence, searched for cue phrases
+    tokens: tuple[str, ...]
+    status: str | None  # _status_from_tokens of the tokens
+    severity: int | None  # highest qualifier severity among the tokens
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def sentence_facts(sentence: str) -> SentenceFacts:
+    """Memoized lexical pass over one sentence; GRPO rollouts repeat a few
+    dozen distinct sentences thousands of times."""
+    low = sentence.lower()
+    tokens = tuple(_safe_tokens(low))
+    severities = [_QUALIFIER_SEVERITY[t] for t in tokens if t in _QUALIFIER_SEVERITY]
+    return SentenceFacts(low, tokens, _status_from_tokens(tokens), max(severities, default=None))
+
+
+def _mentions(low: str, cues: list[str]) -> bool:
+    for cue in cues:
+        if cue in low:
+            return True
+    return False
+
+
 def asserted_biomarker_status(sentences: list[str], marker: str, cfg: RuleConfig) -> str | None:
     """Status asserted for a marker, from the first mentioning sentence
     that states one; None if unmentioned or statusless."""
     cues = cfg.biomarker_cues[marker]
     for sentence in sentences:
-        low = sentence.lower()
-        if not any(c in low for c in cues):
-            continue
-        status = _status_from_tokens(_safe_tokens(low))
-        if status is not None:
-            return status
+        facts = sentence_facts(sentence)
+        if facts.status is not None and _mentions(facts.low, cues):
+            return facts.status
     return None
 
 
 def mentions_biomarker(sentences: list[str], marker: str, cfg: RuleConfig) -> bool:
     cues = cfg.biomarker_cues[marker]
-    return any(any(c in s.lower() for c in cues) for s in sentences)
+    for sentence in sentences:
+        if _mentions(sentence_facts(sentence).low, cues):
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _cue_pattern(cue: str) -> re.Pattern:
+    return re.compile(re.escape(cue))
 
 
 def last_label_cue(text: str, cfg: RuleConfig) -> str | None:
-    """Label whose cue phrase occurs last in the text; longest wins on ties."""
+    """Label whose cue phrase occurs last in the text; longest wins on ties.
+
+    A cue's occurrences are ``finditer``'s non-overlapping matches."""
     best: tuple[int, int, str] | None = None
     low = text.lower()
     for label, cues in cfg.label_cues.items():
         for cue in cues:
-            for m in re.finditer(re.escape(cue), low):
-                key = (m.start(), len(cue), label)
-                if best is None or key[:2] > best[:2]:
-                    best = key
+            start = -1
+            for m in _cue_pattern(cue).finditer(low):
+                start = m.start()
+            if start >= 0 and (best is None or (start, len(cue)) > best[:2]):
+                best = (start, len(cue), label)
     return best[2] if best else None
 
 
@@ -267,14 +319,12 @@ def biomarker_consistency(r: ClinicalReport, p: PatientRecord, cfg: RuleConfig) 
 
 def feature_coverage(r: ClinicalReport, cfg: RuleConfig) -> float:
     """1/4 per cognitive domain assessed with a qualifier token."""
+    facts = [sentence_facts(s) for s in r.reasoning_sentences]
     score = 0.0
     for domain in COGNITIVE_DOMAINS:
         cues = cfg.domain_cues[domain]
-        for sentence in r.reasoning_sentences:
-            low = sentence.lower()
-            if any(c in low for c in cues) and any(
-                t in _QUALIFIER_SEVERITY for t in _safe_tokens(low)
-            ):
+        for f in facts:
+            if f.severity is not None and _mentions(f.low, cues):
                 score += 0.25
                 break
     return score
@@ -290,7 +340,9 @@ def nia_aa_reward(r_cat: float, r_bio: float, r_feat: float) -> float:
 class EntailmentScorer(Protocol):
     """Classifies (premise, hypothesis) into contradiction/neutral/entailment."""
 
-    def classify(self, premise: str, hypothesis: str) -> str: ...
+    def classify(self, premise: str, hypothesis: str, sentences: list[str] | None = None) -> str:
+        """``sentences``, when given, is ``segment_sentences(premise)``."""
+        ...
 
 
 _GENERIC_BIOMARKER_CUE = "biomarker"
@@ -304,11 +356,13 @@ class LexicalEntailmentScorer:
     def __init__(self, cfg: RuleConfig | None = None):
         self.cfg = cfg or RuleConfig()
 
-    def classify(self, premise: str, hypothesis: str) -> str:
+    def classify(self, premise: str, hypothesis: str, sentences: list[str] | None = None) -> str:
         diagnosis = self._hypothesis_label(hypothesis)
         if diagnosis is None:
             return "neutral"
-        sentences = segment_sentences(premise) or [premise]
+        if sentences is None:
+            sentences = segment_sentences(premise)
+        sentences = sentences or [premise]
         cue = last_label_cue(premise, self.cfg)
         implied = self._implied_stage(premise, sentences)
         if cue is not None and cue != diagnosis:
@@ -320,7 +374,8 @@ class LexicalEntailmentScorer:
         return "entailment" if implied == diagnosis else "contradiction"
 
     def _hypothesis_label(self, hypothesis: str) -> str | None:
-        toks = set(_safe_tokens(hypothesis))
+        # tokenize lowercases, so the tokens of the lowered text are the same
+        toks = sentence_facts(hypothesis).tokens
         for label in LABELS:
             if label.lower() in toks:
                 return label
@@ -346,13 +401,11 @@ class LexicalEntailmentScorer:
             return "MCI"
 
         # generic "biomarkers are normal/abnormal" reads as plural (two)
+        facts = [sentence_facts(s) for s in sentences]
         generic = None
-        for sentence in sentences:
-            low = sentence.lower()
-            if _GENERIC_BIOMARKER_CUE in low:
-                status = _status_from_tokens(_safe_tokens(low))
-                if status is not None:
-                    generic = status
+        for f in facts:
+            if f.status is not None and _GENERIC_BIOMARKER_CUE in f.low:
+                generic = f.status
         bio_abn = spec_abn + (2 if generic == "abnormal" else 0)
         bio_norm = spec_norm + (2 if generic == "normal" else 0)
 
@@ -360,14 +413,9 @@ class LexicalEntailmentScorer:
         # concluding label phrase cannot masquerade as clinical findings
         severity: int | None = None
         domain_cues = [c for cues in self.cfg.domain_cues.values() for c in cues]
-        for sentence in sentences:
-            low = sentence.lower()
-            if not any(c in low for c in domain_cues):
-                continue
-            for tok in _safe_tokens(low):
-                if tok in _QUALIFIER_SEVERITY:
-                    sev = _QUALIFIER_SEVERITY[tok]
-                    severity = sev if severity is None else max(severity, sev)
+        for f in facts:
+            if f.severity is not None and _mentions(f.low, domain_cues):
+                severity = f.severity if severity is None else max(severity, f.severity)
 
         if bio_norm == 0 and bio_abn == 0 and severity is None:
             return None
@@ -384,7 +432,7 @@ def consistency_reward(r: ClinicalReport, scorer: EntailmentScorer) -> float:
     if r.diagnosis not in LABELS:
         return 0.0
     hypothesis = f"The diagnosis is {r.diagnosis}."
-    verdict = scorer.classify(r.reasoning, hypothesis)
+    verdict = scorer.classify(r.reasoning, hypothesis, r.reasoning_sentences)
     return {"contradiction": 0.0, "neutral": 0.5, "entailment": 1.0}[verdict]
 
 

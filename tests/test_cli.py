@@ -15,6 +15,7 @@ from eviground.distill import DistillConfig, label_efficiency_experiment
 from eviground.grounding import GrounderConfig
 from eviground.metrics import write_rows_csv
 from eviground.policy import ReportPolicy
+from eviground.rules import RuleConfig
 from eviground.segdecoder import SegDecoder
 from eviground.textenc import Embedder
 
@@ -80,6 +81,26 @@ def test_rerun_reproduces_manifest(tmp_path, cohort_dir):
     a = json.loads((cohort_dir / "manifest.json").read_text())["files"]
     b = json.loads((again / "manifest.json").read_text())["files"]
     assert a == b
+
+
+def test_manifest_lists_only_files_of_the_last_run(tmp_path):
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    for out, n in ((used, "6"), (used, "4"), (fresh, "4")):
+        assert cli_main(["generate-cohort", "--out", str(out), "--n", n, "--seed", "5"]) == 0
+    assert (used / "reports" / "p0005.txt").exists()  # left behind by the first run
+    assert json.loads((used / "manifest.json").read_text()) == json.loads(
+        (fresh / "manifest.json").read_text()
+    )
+    # in a fresh directory the manifest hashes every file but itself and
+    # run.json (written after it), byte for byte as before
+    files = {
+        str(p.relative_to(fresh)): tensorio.file_sha256(p)
+        for p in sorted(fresh.rglob("*"))
+        if p.is_file() and p.name not in ("manifest.json", "run.json")
+    }
+    manifest = json.loads((fresh / "manifest.json").read_text())
+    assert manifest["files"] == files
+    assert (fresh / "manifest.json").read_text() == json.dumps(manifest, indent=2, sort_keys=True)
 
 
 def test_score_report_gold_prints_max_total(cohort_dir, capsys):
@@ -337,8 +358,25 @@ def test_config_seed_out_of_range_exits_1(tmp_path, cohort_dir, capsys):
     assert "seed must be an unsigned 64-bit integer" in _one_line_error(capsys)
 
 
+def _cue_rules_text(name, **change):
+    """rules.json text whose cue lexicon ``name`` is the default, updated by ``change``."""
+    cues = {**getattr(RuleConfig(), name), **change}
+    return json.dumps({name: {k: v for k, v in cues.items() if v is not None}})
+
+
 @pytest.mark.parametrize(
-    "rules_text", ["{not json", '{"w_format": 0.2, "no_such_rule": 1}', '{"label_cues": []}']
+    "rules_text",
+    [
+        "{not json",
+        '{"w_format": 0.2, "no_such_rule": 1}',
+        '{"label_cues": []}',
+        # each of these loaded before and failed later, or silently scored wrong
+        pytest.param(_cue_rules_text("domain_cues", memory=None), id="domain-missing-memory"),
+        pytest.param(_cue_rules_text("biomarker_cues", abeta=None), id="biomarker-missing-abeta"),
+        pytest.param(_cue_rules_text("label_cues", AD=["alzheimer"]), id="label-unknown-key"),
+        pytest.param(_cue_rules_text("label_cues", CN=[""]), id="label-empty-cue"),
+        pytest.param(_cue_rules_text("biomarker_cues", abeta=["Amyloid"]), id="biomarker-uppercase-cue"),
+    ],
 )
 def test_train_grpo_bad_rules_json_exits_1(tmp_path, cohort_dir, capsys, rules_text):
     cohort = tmp_path / "cohort"

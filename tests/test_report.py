@@ -1,6 +1,9 @@
 """Report grammar: parser totality, segmentation, format reward."""
 
-from hypothesis import given, settings
+import re
+import sys
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eviground import report
@@ -105,6 +108,62 @@ class TestSegmentSentences:
         reasoning = " ".join(sentences)
         segments = report.segment_sentences(reasoning)
         assert " ".join(" ".join(segments).split()) == " ".join(reasoning.split())
+
+
+def _reference_segment_sentences(reasoning: str) -> list[str]:
+    """The original per-character segmenter, kept as the behavioural reference."""
+    sentences = []
+    start = 0
+    n = len(reasoning)
+    for i, ch in enumerate(reasoning):
+        if ch not in ".!?":
+            continue
+        if i + 1 < n and not reasoning[i + 1].isspace():
+            continue
+        if ch == "." and _reference_ends_with_abbreviation(reasoning, i):
+            continue
+        segment = reasoning[start : i + 1].strip()
+        if segment:
+            sentences.append(segment)
+        start = i + 1
+    tail = reasoning[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def _reference_ends_with_abbreviation(text: str, dot_index: int) -> bool:
+    j = dot_index
+    while j > 0 and not text[j - 1].isspace():
+        j -= 1
+    return text[j : dot_index + 1].lower() in ("e.g.", "i.e.", "vs.", "mm.", "dr.")
+
+
+# terminators, letters, digits, ASCII and Unicode whitespace, abbreviations
+# (also in capitals), and the two characters whose lowercase leaves ASCII
+# letters behind (dotted capital I, Kelvin sign)
+_SEGMENTER_ATOMS = [
+    ".", "!", "?", "a", "E", "g", "z", "0", "7",
+    " ", "\t", "\n", "\r", "\x0b", "\x0c",
+    "\u00a0", "\u2009", "\u3000", "\x1c", "\x85",
+    "e.g.", "I.E.", "vs.", "Dr.", "mm.", "E.G.", "\u0130.e.", "\u212a",
+]
+
+
+class TestSegmenterMatchesReference:
+    @given(st.lists(st.sampled_from(_SEGMENTER_ATOMS), max_size=40).map("".join))
+    @settings(max_examples=1000)
+    @example("e.g. mild. I.E. no.")
+    @example("x.\ne.g. y.\nvs. z.\nDr. Q. mm.")
+    @example("Done.\u00a0Next!\u3000Last?\x1cEnd.\x85")
+    def test_equal_to_per_character_loop(self, text):
+        assert report.segment_sentences(text) == _reference_segment_sentences(text)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        space = re.compile(r"\s")
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert bool(space.match(ch)) == ch.isspace(), hex(code)
 
 
 class TestFormatReward:

@@ -1,13 +1,20 @@
 """Executable reward components and their partial-credit arithmetic."""
 
-import pytest
+import json
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eviground import policy as P
 from eviground import rules
 from eviground.errors import ValidationError
-from eviground.records import EvidenceItem, PatientRecord
-from eviground.report import parse_report
+from eviground.records import BIOMARKERS, COGNITIVE_DOMAINS, LABELS, EvidenceItem, PatientRecord
+from eviground.report import format_reward, parse_report, segment_sentences
 from eviground.rules import (
     LexicalEntailmentScorer,
+    RewardBreakdown,
     RuleConfig,
     biomarker_consistency,
     category_alignment,
@@ -28,8 +35,7 @@ def scorer(cfg):
     return LexicalEntailmentScorer(cfg)
 
 
-@pytest.fixture
-def patient():
+def _dementia_patient():
     # Dementia-pattern record: all three markers abnormal, memory severe
     return PatientRecord(
         id="x1",
@@ -40,6 +46,42 @@ def patient():
         evidence=[EvidenceItem("demo", "77-year-old female", "demographics", "demographics")],
         gt_label="Dementia",
     )
+
+
+def _cn_patient():
+    # every marker on the normal side of its threshold
+    return PatientRecord(
+        id="x2",
+        demographics={"age": 68.0, "sex": "male", "education_years": 16.0},
+        cognition={"memory": 0.1, "executive": -0.2, "visuospatial": 0.3, "language": 0.0},
+        biomarkers={"abeta": 1200.0, "ttau": 210.0, "ptau": 18.0},
+        genetics={"apoe": "e3/e3"},
+        evidence=[EvidenceItem("demo", "68-year-old male", "demographics", "demographics")],
+        gt_label="CN",
+    )
+
+
+@pytest.fixture
+def patient():
+    return _dementia_patient()
+
+
+def _rules_text(name, **change):
+    """rules.json text whose cue lexicon ``name`` is the default, updated by ``change``."""
+    cues = {**getattr(RuleConfig(), name), **change}
+    return json.dumps({name: {k: v for k, v in cues.items() if v is not None}})
+
+
+# cue lexicons the rules cannot use; test_cli feeds most of them to train-grpo
+BAD_CUE_LEXICONS = [
+    pytest.param(_rules_text("domain_cues", memory=None), id="domain-missing-memory"),
+    pytest.param(_rules_text("domain_cues", motor=["gait"]), id="domain-extra-key"),
+    pytest.param(_rules_text("biomarker_cues", abeta=None), id="biomarker-missing-abeta"),
+    pytest.param(_rules_text("biomarker_cues", nfl=["nfl"]), id="biomarker-extra-key"),
+    pytest.param(_rules_text("label_cues", AD=["alzheimer"]), id="label-unknown-key"),
+    pytest.param(_rules_text("label_cues", CN=[""]), id="label-empty-cue"),
+    pytest.param(_rules_text("biomarker_cues", abeta=["Amyloid"]), id="biomarker-uppercase-cue"),
+]
 
 
 def _report(reasoning, diagnosis="Dementia", confidence="High"):
@@ -230,6 +272,7 @@ class TestStageRule:
             '{"w_nia": "0.5"}',
             '{"label_cues": []}',
             '{"biomarker_cues": {"abeta": "amyloid"}}',
+            *BAD_CUE_LEXICONS,
         ],
     )
     def test_bad_rules_json_rejected(self, tmp_path, text):
@@ -237,3 +280,209 @@ class TestStageRule:
         path.write_text(text)
         with pytest.raises(ValidationError):
             RuleConfig.load(path)
+
+
+# --- reference: the reward helpers as first written, before the sentence memo --
+
+
+def _ref_asserted_biomarker_status(sentences, marker, cfg):
+    cues = cfg.biomarker_cues[marker]
+    for sentence in sentences:
+        low = sentence.lower()
+        if not any(c in low for c in cues):
+            continue
+        status = rules._status_from_tokens(rules._safe_tokens(low))
+        if status is not None:
+            return status
+    return None
+
+
+def _ref_mentions_biomarker(sentences, marker, cfg):
+    cues = cfg.biomarker_cues[marker]
+    return any(any(c in s.lower() for c in cues) for s in sentences)
+
+
+def _ref_last_label_cue(text, cfg):
+    best = None
+    low = text.lower()
+    for label, cues in cfg.label_cues.items():
+        for cue in cues:
+            for m in re.finditer(re.escape(cue), low):
+                key = (m.start(), len(cue), label)
+                if best is None or key[:2] > best[:2]:
+                    best = key
+    return best[2] if best else None
+
+
+def _ref_feature_coverage(r, cfg):
+    score = 0.0
+    for domain in COGNITIVE_DOMAINS:
+        cues = cfg.domain_cues[domain]
+        for sentence in r.reasoning_sentences:
+            low = sentence.lower()
+            if any(c in low for c in cues) and any(
+                t in rules._QUALIFIER_SEVERITY for t in rules._safe_tokens(low)
+            ):
+                score += 0.25
+                break
+    return score
+
+
+def _ref_implied_stage(cfg, sentences):
+    spec_norm = 0
+    spec_abn = 0
+    for marker in BIOMARKERS:
+        status = _ref_asserted_biomarker_status(sentences, marker, cfg)
+        if status == "normal":
+            spec_norm += 1
+        elif status == "abnormal":
+            spec_abn += 1
+    if spec_norm + spec_abn >= 2:
+        if spec_abn == 0:
+            return "CN"
+        if spec_abn >= 3:
+            return "Dementia"
+        return "MCI"
+    generic = None
+    for sentence in sentences:
+        low = sentence.lower()
+        if "biomarker" in low:
+            status = rules._status_from_tokens(rules._safe_tokens(low))
+            if status is not None:
+                generic = status
+    bio_abn = spec_abn + (2 if generic == "abnormal" else 0)
+    bio_norm = spec_norm + (2 if generic == "normal" else 0)
+    severity = None
+    domain_cues = [c for cues in cfg.domain_cues.values() for c in cues]
+    for sentence in sentences:
+        low = sentence.lower()
+        if not any(c in low for c in domain_cues):
+            continue
+        for tok in rules._safe_tokens(low):
+            if tok in rules._QUALIFIER_SEVERITY:
+                sev = rules._QUALIFIER_SEVERITY[tok]
+                severity = sev if severity is None else max(severity, sev)
+    if bio_norm == 0 and bio_abn == 0 and severity is None:
+        return None
+    if bio_abn >= 1 and severity is not None and severity >= 2:
+        return "Dementia"
+    if bio_abn == 0 and severity in (None, 0) and (bio_norm >= 1 or severity == 0):
+        return "CN"
+    return "MCI"
+
+
+def _ref_classify(cfg, premise, hypothesis):
+    toks = set(rules._safe_tokens(hypothesis))
+    diagnosis = next((label for label in LABELS if label.lower() in toks), None)
+    if diagnosis is None:
+        return "neutral"
+    sentences = segment_sentences(premise) or [premise]
+    cue = _ref_last_label_cue(premise, cfg)
+    implied = _ref_implied_stage(cfg, sentences)
+    if cue is not None and cue != diagnosis:
+        return "contradiction"
+    if implied is None:
+        return "entailment" if cue == diagnosis else "neutral"
+    return "entailment" if implied == diagnosis else "contradiction"
+
+
+def _ref_total_reward(r, p, cfg):
+    r_format = format_reward(r)
+    r_cat = 0.0
+    if r.diagnosis in LABELS:
+        r_cat = 1.0 if _ref_last_label_cue(r.reasoning, cfg) in (None, r.diagnosis) else 0.5
+    r_bio = 0.0
+    for marker in BIOMARKERS:
+        if not _ref_mentions_biomarker(r.reasoning_sentences, marker, cfg):
+            continue
+        r_bio += 1.0 / 6.0
+        asserted = _ref_asserted_biomarker_status(r.reasoning_sentences, marker, cfg)
+        ground = "abnormal" if rules.biomarker_abnormal(marker, p.biomarkers[marker], cfg) else "normal"
+        if asserted == ground:
+            r_bio += 1.0 / 6.0
+    r_feat = _ref_feature_coverage(r, cfg)
+    r_nia = nia_aa_reward(r_cat, r_bio, r_feat)
+    r_cons = 0.0
+    if r.diagnosis in LABELS:
+        verdict = _ref_classify(cfg, r.reasoning, f"The diagnosis is {r.diagnosis}.")
+        r_cons = {"contradiction": 0.0, "neutral": 0.5, "entailment": 1.0}[verdict]
+    total = cfg.w_format * r_format + cfg.w_nia * r_nia + cfg.w_consistency * r_cons
+    return RewardBreakdown(r_format, r_cat, r_bio, r_feat, r_nia, r_cons, total)
+
+
+# Different cue lists over the same words: a memo keyed by text alone would
+# carry one config's cue matches into the other. "no no" overlaps itself: in
+# "no no no" finditer finds it at 0 only, before the MCI cue "o no no" at 1,
+# while an overlapping search would also find it at 3.
+_ALT_RULES = RuleConfig(
+    label_cues={"CN": ["no no", "unremarkable"], "MCI": ["o no no", "mild"], "Dementia": ["severe"]},
+    domain_cues={
+        "memory": ["recall"],
+        "executive": ["planning", "memory"],
+        "visuospatial": ["spatial"],
+        "language": ["naming", "tau"],
+    },
+    biomarker_cues={"abeta": ["amyloid"], "ttau": ["tau"], "ptau": ["p-tau", "abeta"]},
+)
+_CONFIGS = [(cfg, LexicalEntailmentScorer(cfg)) for cfg in (RuleConfig(), _ALT_RULES)]
+
+# cue words, negators, qualifiers, status words, generic "biomarkers" phrases
+# and label cues of both configs
+_WORDS = (
+    "amyloid abeta CSF total tau ttau t-tau phosphorylated ptau p-tau "
+    "memory Memory recall amnestic executive planning visuospatial spatial "
+    "language naming fluency not no without intact normal mild moderate "
+    "impaired declined severe unremarkable preserved abnormal elevated reduced "
+    "lowered decreased atrophic within reference below above range biomarkers "
+    "biomarker are is cognitively cognitive impairment limits dementia alzheimer e.g."
+).split() + ["no no"]
+_sentence = st.tuples(
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=8).map(" ".join),
+    st.sampled_from([".", "!", "?", ""]),
+).map("".join)
+_reasoning = st.tuples(
+    st.lists(_sentence, max_size=6),
+    st.sampled_from([" ", "\n", "  "]),
+).map(lambda parts: parts[1].join(parts[0]))
+
+
+def _assert_matches_reference(report, patient):
+    for cfg, scorer in _CONFIGS:
+        assert rules.total_reward(report, patient, cfg, scorer) == _ref_total_reward(
+            report, patient, cfg
+        )
+
+
+class TestRewardsMatchReference:
+    def test_self_overlapping_cue_keeps_non_overlapping_matches(self):
+        assert "no no no".rfind("no no") > "no no no".find("o no no")  # overlapping: CN
+        assert rules.last_label_cue("no no no", _ALT_RULES) == "MCI"
+        assert _ref_last_label_cue("no no no", _ALT_RULES) == "MCI"
+
+    def test_every_rollout_of_a_short_train_rft(self, small_cohort, monkeypatch):
+        scored = []
+
+        def recording_total_reward(r, p, cfg, scorer):
+            scored.append((r, p))
+            return rules.total_reward(r, p, cfg, scorer)
+
+        monkeypatch.setattr(P, "total_reward", recording_total_reward)
+        patients = [small_cohort.records[pid] for pid in small_cohort.split["train"]]
+        pol = P.ReportPolicy(rules=small_cohort.rules)
+        scorer = LexicalEntailmentScorer(small_cohort.rules)
+        P.train_rft(pol, patients, small_cohort.rules, scorer, P.RftConfig(iters=30), seed=0)
+        assert len(scored) == 30 * P.RftConfig().group_size
+        for k, (report, patient) in enumerate(scored):
+            cfg, scorer = _CONFIGS[k % 2]  # alternate so a config-blind memo goes stale
+            assert rules.total_reward(report, patient, cfg, scorer) == _ref_total_reward(
+                report, patient, cfg
+            )
+
+    @given(
+        _reasoning,
+        st.sampled_from([*LABELS, "Possible"]),
+        st.sampled_from([_dementia_patient(), _cn_patient()]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_generated_reasoning(self, reasoning, diagnosis, patient):
+        _assert_matches_reference(_report(reasoning, diagnosis), patient)
