@@ -363,24 +363,32 @@ def generate_cohort(cfg: CohortConfig, out_dir: str | Path, *, seed: int) -> dic
     labels = [label for label, c in zip(LABELS, counts) for _ in range(c)]
     master.shuffle(labels)
 
+    # paths (relative to out) this call writes; only these are hashed, as
+    # files an earlier run left under out are not part of this cohort
+    written: list[str] = []
     records: list[PatientRecord] = []
     grounding_rows: list[GroundingRow] = []
     for i, label in enumerate(labels):
         pid = f"p{i:04d}"
         record, volume, masks = generate_patient(cfg, [seed, i], label)
         record.id = pid
-        tensorio.save_tensor(out / "volumes" / f"{pid}.emad", volume)
+        rel = f"volumes/{pid}.emad"
+        tensorio.save_tensor(out / rel, volume)
+        written.append(rel)
         for structure, mask in masks.items():
             rel = f"masks/{pid}_{structure}.emad"
             tensorio.save_tensor(out / rel, mask)
             record.mask_files[structure] = rel
+            written.append(rel)
         text, rows = render_gold_report(record, cfg.rules)
         parsed = parse_report(text)
         if parsed.parse_diagnostics:
             raise AssertionError(f"gold report for {pid} produced diagnostics")
         for row in rows:
             row.patient_id = pid
-        (out / "reports" / f"{pid}.txt").write_text(text)
+        rel = f"reports/{pid}.txt"
+        (out / rel).write_text(text)
+        written.append(rel)
         records.append(record)
         grounding_rows.extend(rows)
 
@@ -388,6 +396,7 @@ def generate_cohort(cfg: CohortConfig, out_dir: str | Path, *, seed: int) -> dic
     with open(out / "grounding.jsonl", "w") as fh:
         for row in grounding_rows:
             fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
+    written += ["records.jsonl", "grounding.jsonl"]
 
     n = cfg.n_patients
     n_train, n_val = int(n * 0.7), int(n * 0.1)
@@ -399,13 +408,8 @@ def generate_cohort(cfg: CohortConfig, out_dir: str | Path, *, seed: int) -> dic
     }
     (out / "split.json").write_text(json.dumps(split, indent=2))
     cfg.rules.save(out / "rules.json")
+    written += ["split.json", "rules.json"]
 
-    # hash only what this call wrote: files an earlier run left under out
-    # are not part of this cohort
-    written = ["records.jsonl", "grounding.jsonl", "split.json", "rules.json"]
-    for record in records:
-        written += [f"volumes/{record.id}.emad", f"reports/{record.id}.txt"]
-        written += record.mask_files.values()
     manifest = {"seed": seed, "config": cfg.to_json(), "files": {}}
     for rel in sorted(written):
         manifest["files"][rel] = tensorio.file_sha256(out / rel)

@@ -17,7 +17,7 @@ from typing import Protocol
 
 from .errors import ValidationError
 from .records import BIOMARKERS, COGNITIVE_DOMAINS, LABELS, PatientRecord
-from .report import ClinicalReport, format_reward, segment_sentences
+from .report import ClinicalReport, format_reward
 from .tensorio import read_json_object
 from .textenc import tokenize
 
@@ -226,9 +226,8 @@ class SentenceFacts:
     """What the rules read from one sentence, independent of any RuleConfig."""
 
     low: str  # the lowercased sentence, searched for cue phrases
-    tokens: tuple[str, ...]
-    status: str | None  # _status_from_tokens of the tokens
-    severity: int | None  # highest qualifier severity among the tokens
+    status: str | None  # _status_from_tokens of its tokens
+    severity: int | None  # highest qualifier severity among its tokens
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -236,9 +235,9 @@ def sentence_facts(sentence: str) -> SentenceFacts:
     """Memoized lexical pass over one sentence; GRPO rollouts repeat a few
     dozen distinct sentences thousands of times."""
     low = sentence.lower()
-    tokens = tuple(_safe_tokens(low))
+    tokens = _safe_tokens(low)
     severities = [_QUALIFIER_SEVERITY[t] for t in tokens if t in _QUALIFIER_SEVERITY]
-    return SentenceFacts(low, tokens, _status_from_tokens(tokens), max(severities, default=None))
+    return SentenceFacts(low, _status_from_tokens(tokens), max(severities, default=None))
 
 
 def _mentions(low: str, cues: list[str]) -> bool:
@@ -340,8 +339,8 @@ def nia_aa_reward(r_cat: float, r_bio: float, r_feat: float) -> float:
 class EntailmentScorer(Protocol):
     """Classifies (premise, hypothesis) into contradiction/neutral/entailment."""
 
-    def classify(self, premise: str, hypothesis: str, sentences: list[str] | None = None) -> str:
-        """``sentences``, when given, is ``segment_sentences(premise)``."""
+    def classify(self, premise: str, hypothesis: str, sentences: list[str]) -> str:
+        """``sentences`` is the premise split by ``segment_sentences``."""
         ...
 
 
@@ -356,12 +355,10 @@ class LexicalEntailmentScorer:
     def __init__(self, cfg: RuleConfig | None = None):
         self.cfg = cfg or RuleConfig()
 
-    def classify(self, premise: str, hypothesis: str, sentences: list[str] | None = None) -> str:
+    def classify(self, premise: str, hypothesis: str, sentences: list[str]) -> str:
         diagnosis = self._hypothesis_label(hypothesis)
         if diagnosis is None:
             return "neutral"
-        if sentences is None:
-            sentences = segment_sentences(premise)
         sentences = sentences or [premise]
         cue = last_label_cue(premise, self.cfg)
         implied = self._implied_stage(premise, sentences)
@@ -374,8 +371,7 @@ class LexicalEntailmentScorer:
         return "entailment" if implied == diagnosis else "contradiction"
 
     def _hypothesis_label(self, hypothesis: str) -> str | None:
-        # tokenize lowercases, so the tokens of the lowered text are the same
-        toks = sentence_facts(hypothesis).tokens
+        toks = set(_safe_tokens(hypothesis))
         for label in LABELS:
             if label.lower() in toks:
                 return label
