@@ -132,11 +132,13 @@ def check_grpo(seed: int) -> float:
         rollout = policy.Rollout(choices, "", new_lp - delta)
         rollout.advantage = float(rng.normal())
         group.rollouts.append(rollout)
-    lw = policy.grpo_loss(group, pol, ref, epsilon=0.2, beta=0.1)
+    # the reference is frozen: its probabilities are computed once per seed
+    ref_probs = ref.probs(features)
+    lw = policy.grpo_loss(group, pol, ref_probs, epsilon=0.2, beta=0.1)
 
     # every entry of pol.flat is perturbed in place: 1 + 2 * 731 loss calls
     return _masked_fd_error(
-        lambda _: policy.grpo_loss(group, pol, ref, epsilon=0.2, beta=0.1).value,
+        lambda _: policy.grpo_loss(group, pol, ref_probs, epsilon=0.2, beta=0.1).value,
         pol.flat,
         lw.grads["flat"],
     )

@@ -5,7 +5,10 @@ slot (diagnosis, concluding cue, confidence, per-domain qualifier,
 per-biomarker mention/status, sentence ordering), each a linear map from
 a patient-feature vector. A rollout's log-probability is the sum of its
 chosen-slot log-probabilities, so the sequence-level importance ratio is
-exact, and the KL to the reference policy has a closed form per slot.
+exact, and the KL to the reference policy has a closed form per slot. The
+reference is frozen, so ``grpo_loss`` takes it as its probability vector
+(``ref.probs(features)``), computed once per reference and feature vector
+and shared by every loss call on them.
 
 Parameter layout: the 11 slots have 43 choices in all, and every weight
 lives in one float64 vector, ``ReportPolicy.flat`` (731 scalars): the
@@ -28,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import phrases, tensorio
-from .errors import ValidationError
+from .errors import DimMismatchError, ValidationError
 from .losses import LossWithGrad
 from .records import BIOMARKERS, COGNITIVE_DOMAINS, LABELS, PatientRecord
 from .report import parse_report, render_report
@@ -258,11 +261,18 @@ class ReportPolicy:
 
 @dataclass
 class Rollout:
+    """One sampled report; ``choices`` is fixed once the rollout exists."""
+
     choices: dict[str, int]
     text: str
     old_logprob: float
     reward: RewardBreakdown | None = None
     advantage: float = 0.0
+    # positions of ``choices`` among the 43, read by every ``grpo_loss`` call
+    chosen: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.chosen = _chosen(self.choices)
 
 
 @dataclass
@@ -274,10 +284,6 @@ class SampleGroup:
     @property
     def rewards(self) -> np.ndarray:
         return np.array([r.reward.total for r in self.rollouts])
-
-    @property
-    def advantages(self) -> np.ndarray:
-        return np.array([r.advantage for r in self.rollouts])
 
 
 def sample_group(policy: ReportPolicy, patient: PatientRecord, g: int, seed) -> SampleGroup:
@@ -323,16 +329,24 @@ def importance_ratio(new_logprob: float, old_logprob: float) -> float:
 def grpo_loss(
     group: SampleGroup,
     policy: ReportPolicy,
-    ref_policy: ReportPolicy,
+    ref_probs: np.ndarray,
     epsilon: float = 0.2,
     beta: float = 0.1,
 ) -> LossWithGrad:
     """Clipped surrogate plus exact per-slot KL anchor; ``grads["flat"]`` is the
-    gradient in the layout of ``policy.flat``."""
+    gradient in the layout of ``policy.flat``.
+
+    ``ref_probs`` is the frozen reference policy's probability vector on the
+    group's features, ``ref.probs(group.features)`` of shape ``(43,)``. It is
+    only read, so a caller computes it once per reference and feature vector
+    and passes it to every loss call.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValidationError("epsilon must be in (0, 1)")
     if beta < 0.0:
         raise ValidationError("beta must be nonnegative")
+    if ref_probs.shape != (N_CHOICES,):
+        raise DimMismatchError(f"ref_probs must have shape ({N_CHOICES},), got {ref_probs.shape}")
     features = group.features
     g = len(group.rollouts)
     p = policy.probs(features)
@@ -340,7 +354,7 @@ def grpo_loss(
 
     surrogate = 0.0
     for rollout in group.rollouts:
-        chosen = _chosen(rollout.choices)
+        chosen = rollout.chosen
         new_lp = sum(np.log(p[chosen]).tolist())
         delta = new_lp - rollout.old_logprob
         # min/max clip exactly as np.clip does, without its per-call overhead
@@ -362,7 +376,7 @@ def grpo_loss(
 
     kl_total = 0.0
     if beta > 0.0:
-        kl_slot, log_ratio = _slot_kl(p, ref_policy.probs(features))
+        kl_slot, log_ratio = _slot_kl(p, ref_probs)
         kl_total = sum(kl_slot.tolist()) / N_SLOTS
         dlogits += (beta / N_SLOTS) * p * (log_ratio - kl_slot[_SLOT_OF_CHOICE])
 
@@ -410,7 +424,7 @@ def train_rft(
         patient = patients[int(rng.integers(len(patients)))]
         group = sample_group(policy, patient, cfg.group_size, rng.integers(2**63))
         score_group(group, patient, rule_cfg, scorer)
-        loss = grpo_loss(group, policy, ref, cfg.epsilon, cfg.beta)
+        loss = grpo_loss(group, policy, ref.probs(group.features), cfg.epsilon, cfg.beta)
         policy.flat -= cfg.lr * loss.grads["flat"]
         breakdowns = [r.reward for r in group.rollouts]
         rows.append(

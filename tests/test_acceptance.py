@@ -128,14 +128,14 @@ def test_criterion_3_grpo_invariants():
 
     # equal rewards -> zero advantages -> zero update at beta=0
     group = make_group(P.normalize_advantages(np.full(4, 0.5)), [1.0] * 4)
-    lw = P.grpo_loss(group, pol, pol.copy(), 0.2, beta=0.0)
+    lw = P.grpo_loss(group, pol, pol.probs(features), 0.2, beta=0.0)
     assert all(np.all(g == 0.0) for g in lw.grads.values())
 
     # clip inactivity: all rho within [1-eps, 1+eps]
     rhos = [1.1, 0.93, 1.19, 0.81]
     advs = rng.normal(size=4)
     group = make_group(advs, rhos)
-    lw = P.grpo_loss(group, pol, pol.copy(), 0.2, beta=0.0)
+    lw = P.grpo_loss(group, pol, pol.probs(features), 0.2, beta=0.0)
     unclipped = 0.0
     for rollout in group.rollouts:
         rho = P.importance_ratio(pol.log_prob(rollout.choices, features), rollout.old_logprob)
@@ -146,11 +146,11 @@ def test_criterion_3_grpo_invariants():
     # advantages recomputed from shifted rewards
     rewards = rng.random(4)
     group = make_group(P.normalize_advantages(rewards), [1.0] * 4)
-    base = P.grpo_loss(group, pol, pol.copy(), 0.2, beta=0.0).grads
+    base = P.grpo_loss(group, pol, pol.probs(features), 0.2, beta=0.0).grads
     shifted_advs = P.normalize_advantages(rewards + 3.0)
     for rollout, adv in zip(group.rollouts, shifted_advs):
         rollout.advantage = float(adv)
-    shifted = P.grpo_loss(group, pol, pol.copy(), 0.2, beta=0.0).grads
+    shifted = P.grpo_loss(group, pol, pol.probs(features), 0.2, beta=0.0).grads
     for key in base:
         assert np.max(np.abs(shifted[key] - base[key])) <= 1e-9
     _announce(3, "GRPO invariants")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eviground import policy as P
-from eviground.errors import ValidationError
+from eviground.errors import DimMismatchError, ValidationError
 from eviground.losses import softmax
 from eviground.report import parse_report
 
@@ -41,6 +41,14 @@ class TestSampleGroup:
     def test_default_config_matches_paper_setup(self):
         cfg = P.RftConfig()
         assert (cfg.group_size, cfg.epsilon, cfg.beta) == (4, 0.2, 0.1)
+
+    def test_rollout_chosen_positions(self, patient):
+        pol = P.ReportPolicy()
+        pol.flat[...] = np.random.default_rng(2).normal(0, 0.5, pol.flat.size)
+        group = P.sample_group(pol, patient, 8, seed=11)
+        for rollout in group.rollouts:
+            expected = P._SLOT_START + [rollout.choices[name] for name, _ in pol.slots]
+            np.testing.assert_array_equal(rollout.chosen, expected)
 
     def test_rendered_reports_parse(self, patient):
         pol = P.ReportPolicy()
@@ -106,7 +114,7 @@ class TestGrpoLoss:
         pol = P.ReportPolicy()
         features = np.zeros(P.FEATURE_DIM)
         group = _group_with(pol, features, [0.0, 0.0])
-        lw = P.grpo_loss(group, pol, pol.copy(), 0.2, 0.1)
+        lw = P.grpo_loss(group, pol, pol.probs(features), 0.2, 0.1)
         assert lw.value == pytest.approx(0.0, abs=1e-12)
         assert all(np.all(g == 0) for g in lw.grads.values())
 
@@ -114,14 +122,14 @@ class TestGrpoLoss:
         pol = P.ReportPolicy()
         features = np.zeros(P.FEATURE_DIM)
         group = _group_with(pol, features, [1.0, -1.0], rho=[1.0, 1.0])
-        lw = P.grpo_loss(group, pol, pol.copy(), 0.2, beta=0.0)
+        lw = P.grpo_loss(group, pol, pol.probs(features), 0.2, beta=0.0)
         assert lw.value == pytest.approx(0.0, abs=1e-12)
 
     def test_clip_arithmetic(self):
         pol = P.ReportPolicy()
         features = np.zeros(P.FEATURE_DIM)
         group = _group_with(pol, features, [1.0], rho=[1.5])
-        lw = P.grpo_loss(group, pol, pol.copy(), epsilon=0.2, beta=0.0)
+        lw = P.grpo_loss(group, pol, pol.probs(features), epsilon=0.2, beta=0.0)
         assert lw.value == pytest.approx(-1.2, abs=1e-9)
 
     def test_clip_inactivity(self):
@@ -132,7 +140,7 @@ class TestGrpoLoss:
         features = rng.normal(size=P.FEATURE_DIM)
         rhos = [1.05, 0.9, 1.15, 0.85]
         group = _group_with(pol, features, rng.normal(size=4), rho=rhos)
-        lw = P.grpo_loss(group, pol, pol.copy(), epsilon=0.2, beta=0.0)
+        lw = P.grpo_loss(group, pol, pol.probs(features), epsilon=0.2, beta=0.0)
         unclipped = 0.0
         for rollout in group.rollouts:
             rho = P.importance_ratio(
@@ -151,12 +159,33 @@ class TestGrpoLoss:
         for shift in (0.0, 5.0):
             advs = P.normalize_advantages(rewards + shift)
             group = _group_with(pol, features, advs, rho=[1.0] * 4)
-            lw = P.grpo_loss(group, pol, pol.copy(), 0.2, beta=0.0)
+            lw = P.grpo_loss(group, pol, pol.probs(features), 0.2, beta=0.0)
             if shift == 0.0:
                 base = {k: v.copy() for k, v in lw.grads.items()}
             else:
                 for key in base:
                     np.testing.assert_allclose(lw.grads[key], base[key], atol=1e-9)
+
+    def test_ref_probs_shape_checked_and_never_written(self):
+        pol = P.ReportPolicy(seed=1)
+        rng = np.random.default_rng(5)
+        pol.flat[...] = rng.normal(0, 0.3, pol.flat.size)
+        ref = P.ReportPolicy()
+        ref.flat[...] = rng.normal(0, 0.3, ref.flat.size)
+        features = rng.normal(size=P.FEATURE_DIM)
+        group = _group_with(pol, features, rng.normal(size=4), rho=[1.1, 0.7, 1.3, 0.95])
+        ref_probs = ref.probs(features)
+        for bad in (ref_probs[:-1], ref_probs[None, :], np.zeros((P.N_SLOTS, 5))):
+            with pytest.raises(DimMismatchError):
+                P.grpo_loss(group, pol, bad, 0.2, 0.1)
+        # a read-only table raises on any write inside the loss
+        ref_probs.setflags(write=False)
+        before = ref_probs.copy()
+        first = P.grpo_loss(group, pol, ref_probs, 0.2, 0.1)
+        second = P.grpo_loss(group, pol, ref_probs, 0.2, 0.1)
+        np.testing.assert_array_equal(ref_probs, before)
+        assert first.value == second.value
+        np.testing.assert_array_equal(first.grads["flat"], second.grads["flat"])
 
     def test_gradients_pass_fd(self):
         from eviground.gradcheck import check_grpo
@@ -173,7 +202,7 @@ class TestTrainRft:
         group = P.sample_group(pol, patient, 4, seed=0)
         for rollout in group.rollouts:
             rollout.advantage = 0.0
-        lw = P.grpo_loss(group, pol, pol.copy(), 0.2, beta=0.0)
+        lw = P.grpo_loss(group, pol, pol.probs(group.features), 0.2, beta=0.0)
         before = pol.flat.copy()
         pol.flat -= 0.05 * lw.grads["flat"]
         np.testing.assert_array_equal(pol.flat, before)
@@ -330,7 +359,7 @@ class TestFlatLayout:
                 group.rollouts.append(rollout)
             beta = (0.0, 0.1, 1.0)[i % 3]
             value, grad = _per_slot_grpo_loss(group, pol, ref, 0.2, beta)
-            lw = P.grpo_loss(group, pol, ref, 0.2, beta)
+            lw = P.grpo_loss(group, pol, ref.probs(features), 0.2, beta)
             assert lw.value == value
             np.testing.assert_array_equal(lw.grads["flat"], grad)
             assert pol.mean_kl_to(ref, features) == _per_slot_mean_kl(pol, ref, features)
@@ -353,17 +382,31 @@ class TestFlatLayout:
         from eviground.gradcheck import check_grpo
 
         calls = []
+        trained = []
+        probs_of = []
         loss = P.grpo_loss
+        probs = P.ReportPolicy.probs
 
-        def counted(*args, **kwargs):
+        def counted(group, policy, *args, **kwargs):
             calls.append(1)
-            return loss(*args, **kwargs)
+            trained.append(policy)
+            return loss(group, policy, *args, **kwargs)
+
+        def counted_probs(self, features):
+            probs_of.append(self)
+            return probs(self, features)
 
         monkeypatch.setattr(P, "grpo_loss", counted)
+        monkeypatch.setattr(P.ReportPolicy, "probs", counted_probs)
         for seed in (0, 1):
             calls.clear()
+            trained.clear()
+            probs_of.clear()
             check_grpo(seed)
             assert len(calls) == 1 + 2 * P.ReportPolicy().flat.size
+            # the frozen reference's probabilities are computed once per seed
+            assert len({id(p) for p in trained}) == 1
+            assert sum(p is not trained[0] for p in probs_of) == 1
 
 
 class TestFormatRewardTargetedRun:
