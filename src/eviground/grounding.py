@@ -230,7 +230,9 @@ def train_grounding(
                     if item.anatomy_ref is None:
                         continue
                     ev_tokens = emb.embed_tokens(tokenize(item.descriptor))
-                    samples.append((tokens, ev_tokens, cohort.mask(pid, item.anatomy_ref)))
+                    # binary 0/1 masks kept as bool; each batch casts back exactly
+                    mask = cohort.mask(pid, item.anatomy_ref).astype(bool)
+                    samples.append((tokens, ev_tokens, mask))
         mask_curve = train_mask_decoder(
             decoder,
             samples,

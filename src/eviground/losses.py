@@ -108,11 +108,14 @@ def dice_score(pred: np.ndarray, gt: np.ndarray) -> float:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
+    """Stable logistic: 1/(1+e) for z >= 0 and e/(1+e) below, e = exp(-|z|)."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # the numerator is 1 where z >= 0 (e <= 1 there) and e elsewhere
+    out = np.maximum(e, z >= 0)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -122,30 +125,41 @@ def dice_bce_loss(
     lambda_dice: float = 1.0,
     lambda_bce: float = 1.0,
 ) -> LossWithGrad:
-    """lambda_dice*(1 - Dice) + lambda_bce*BCE with analytic logit gradient."""
+    """lambda_dice*(1 - Dice) + lambda_bce*BCE with analytic logit gradient.
+
+    ``pred_logits`` and ``gt`` are one (D, D, D) volume or a (B, D, D, D)
+    batch; the value is the batch mean of the per-volume losses. Per-volume
+    sums run over one contiguous row each, so they round as ``np.sum`` and
+    ``np.mean`` of that volume do, and a (D, D, D) call is a batch of one.
+    """
     if lambda_dice < 0 or lambda_bce < 0:
         raise ValueError("loss weights must be nonnegative")
     z = np.asarray(pred_logits, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
     assert_same_shape(z, g)
-    p = _sigmoid(z)
-    n = p.size
+    if z.ndim not in (3, 4):
+        raise DimMismatchError(f"expected (D, D, D) or (B, D, D, D) logits, got {z.shape}")
+    batch = z.shape[0] if z.ndim == 4 else 1
+    p = _sigmoid(z).reshape(batch, -1)
+    g = g.reshape(batch, -1)
+    n = p.shape[1]
 
-    num = 2.0 * float(np.sum(p * g)) + DICE_SMOOTHING
-    den = float(np.sum(p * p) + np.sum(g * g)) + DICE_SMOOTHING
+    num = 2.0 * (p * g).sum(axis=1, keepdims=True) + DICE_SMOOTHING
+    den = ((p * p).sum(axis=1, keepdims=True) + (g * g).sum(axis=1, keepdims=True)) + DICE_SMOOTHING
     dice = num / den
 
     pc = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    bce = float(-np.mean(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc)))
+    qc = 1.0 - pc
+    bce = -((g * np.log(pc) + (1.0 - g) * np.log(qc)).sum(axis=1, keepdims=True) / n)
 
-    value = lambda_dice * (1.0 - dice) + lambda_bce * bce
+    values = lambda_dice * (1.0 - dice) + lambda_bce * bce
 
     # d(dice)/dp = (2g*den - 2p*num) / den^2, and dp/dz = p(1-p)
     ddice_dp = (2.0 * g * den - 2.0 * p * num) / (den * den)
-    dbce_dp = (pc - g) / (pc * (1.0 - pc) * n)
+    dbce_dp = (pc - g) / (pc * qc * n)
     dvalue_dp = -lambda_dice * ddice_dp + lambda_bce * dbce_dp
-    grad = dvalue_dp * p * (1.0 - p)
-    return LossWithGrad(value, {"pred_logits": grad})
+    grad = dvalue_dp * p * (1.0 - p) / batch
+    return LossWithGrad(float(values.sum() / batch), {"pred_logits": grad.reshape(z.shape)})
 
 
 def finite_difference_check(

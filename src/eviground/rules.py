@@ -274,10 +274,19 @@ def _cue_pattern(cue: str) -> re.Pattern:
 def last_label_cue(text: str, cfg: RuleConfig) -> str | None:
     """Label whose cue phrase occurs last in the text; longest wins on ties.
 
-    A cue's occurrences are ``finditer``'s non-overlapping matches."""
+    A cue's occurrences are ``finditer``'s non-overlapping matches. The last
+    answer is kept, keyed on the text and the cue lexicon's contents:
+    ``total_reward`` asks twice in a row for the same reasoning, in
+    ``category_alignment`` and in the scorer."""
+    lexicon = tuple((label, tuple(cues)) for label, cues in cfg.label_cues.items())
+    return _last_label_cue(text, lexicon)
+
+
+@functools.lru_cache(maxsize=1)
+def _last_label_cue(text: str, label_cues: tuple[tuple[str, tuple[str, ...]], ...]) -> str | None:
     best: tuple[int, int, str] | None = None
     low = text.lower()
-    for label, cues in cfg.label_cues.items():
+    for label, cues in label_cues:
         for cue in cues:
             start = -1
             for m in _cue_pattern(cue).finditer(low):

@@ -197,6 +197,18 @@ class TestDiceScore:
         assert losses.dice_score(a, b) == pytest.approx(losses.dice_score(b, a), abs=1e-15)
 
 
+def test_sigmoid_matches_two_branch_formula():
+    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, bit for bit."""
+    z = np.concatenate(
+        [RNG(9).normal(0, 8, size=2000), [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]]
+    )
+    ref = np.empty_like(z)
+    pos = z >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ref[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+    assert np.array_equal(losses._sigmoid(z), ref)
+
+
 class TestDiceBceLoss:
     def test_perfect_prediction_small(self):
         gt = np.zeros((2, 2, 2))
@@ -209,6 +221,31 @@ class TestDiceBceLoss:
         gt[0] = 1.0
         got = losses.dice_bce_loss(np.zeros((2, 2, 2)), gt, lambda_dice=1.0, lambda_bce=0.0)
         assert got.value == pytest.approx(0.3333, abs=1e-3)
+
+    def test_batch_is_mean_of_volume_losses(self):
+        rng = RNG(5)
+        logits = rng.normal(0, 2, size=(3, 4, 4, 4))
+        gt = (rng.random((3, 4, 4, 4)) > 0.6).astype(float)
+        batch = losses.dice_bce_loss(logits, gt, lambda_dice=0.7, lambda_bce=1.3)
+        singles = [losses.dice_bce_loss(logits[b], gt[b], 0.7, 1.3) for b in range(3)]
+        assert batch.value == pytest.approx(np.mean([s.value for s in singles]), rel=1e-14)
+        for b, single in enumerate(singles):
+            np.testing.assert_allclose(
+                batch.grads["pred_logits"][b], single.grads["pred_logits"] / 3, rtol=1e-14
+            )
+
+    def test_batch_of_one_equals_volume_call(self):
+        rng = RNG(6)
+        logits = rng.normal(0, 2, size=(8, 8, 8))
+        gt = (rng.random((8, 8, 8)) > 0.7).astype(float)
+        one = losses.dice_bce_loss(logits, gt)
+        batch = losses.dice_bce_loss(logits[None], gt[None])
+        assert batch.value == one.value
+        assert np.array_equal(batch.grads["pred_logits"][0], one.grads["pred_logits"])
+
+    def test_rejects_non_volume_shapes(self):
+        with pytest.raises(DimMismatchError):
+            losses.dice_bce_loss(np.zeros((4, 4)), np.zeros((4, 4)))
 
     def test_gradient_vs_finite_differences(self):
         rng = RNG(4)

@@ -128,3 +128,43 @@ class TestEvalGrounding:
         # the hashed lexical backbone retrieves well above chance even with a
         # random head; untrained performance sits between chance and trained
         assert chance + 0.15 < table["map"] < 1.0
+
+    def test_one_ablated_pass_per_patient(self, small_cohort, monkeypatch):
+        from eviground.losses import dice_score
+        from eviground.segdecoder import SegDecoder, SegDecoderConfig, decode_mask
+        from eviground.textenc import Embedder, tokenize
+
+        emb = Embedder(seed=0)
+        pids = small_cohort.split["test"]
+        dec = SegDecoder(
+            SegDecoderConfig(
+                volume_dim=small_cohort.volume(pids[0]).shape[0],
+                token_dim=emb.embed_dim,
+                layers=1,
+                seed=3,
+            )
+        )
+        ablated_calls = []
+
+        def counting_decode(decoder, tokens, ev_tokens, zero_cross_attention=False):
+            if zero_cross_attention:
+                ablated_calls.append(1)
+            return decode_mask(decoder, tokens, ev_tokens, zero_cross_attention)
+
+        monkeypatch.setattr(metrics, "decode_mask", counting_decode)
+        table = metrics.eval_grounding(emb, dec, small_cohort, "test")
+
+        per_structure = {}
+        for pid in pids:
+            tokens = dec.volume_to_tokens(small_cohort.volume(pid))
+            for item in small_cohort.records[pid].evidence:
+                if item.anatomy_ref is None:
+                    continue
+                ev_tokens = emb.embed_tokens(tokenize(item.descriptor))
+                probs = decode_mask(dec, tokens, ev_tokens, zero_cross_attention=True)
+                score = dice_score((probs >= 0.5).astype(np.float64),
+                                   small_cohort.mask(pid, item.anatomy_ref))
+                per_structure.setdefault(item.anatomy_ref, []).append(score)
+        assert len(ablated_calls) == len(pids)
+        for structure, vals in per_structure.items():
+            assert table[f"dice_ablated.{structure}"] == float(np.mean(vals))

@@ -459,6 +459,22 @@ class TestRewardsMatchReference:
         assert rules.last_label_cue("no no no", _ALT_RULES) == "MCI"
         assert _ref_last_label_cue("no no no", _ALT_RULES) == "MCI"
 
+    def test_total_reward_finds_the_label_cue_once(self, small_cohort):
+        pid = small_cohort.split["train"][0]
+        report = parse_report(small_cohort.gold_report(pid))
+        cfg = RuleConfig()
+        rules._last_label_cue.cache_clear()
+        rules.total_reward(report, small_cohort.records[pid], cfg, LexicalEntailmentScorer(cfg))
+        info = rules._last_label_cue.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_label_cue_memo_follows_lexicon_contents(self):
+        cfg = RuleConfig()
+        text = "Findings suggest dementia."
+        assert rules.last_label_cue(text, cfg) == "Dementia"
+        cfg.label_cues["Dementia"] = ["alzheimer"]
+        assert rules.last_label_cue(text, cfg) is None
+
     def test_every_rollout_of_a_short_train_rft(self, small_cohort, monkeypatch):
         scored = []
 

@@ -12,6 +12,7 @@ from eviground.segdecoder import (
     SegDecoder,
     SegDecoderConfig,
     decode_mask,
+    pad_evidence,
     patchify,
     train_mask_decoder,
     unpatchify,
@@ -33,6 +34,15 @@ def test_patchify_roundtrip():
     rows = patchify(vol, 2)
     assert rows.shape == (64, 8)
     np.testing.assert_array_equal(unpatchify(rows, 2, 8), vol)
+
+
+def test_patchify_batch_axis():
+    vols = np.random.default_rng(2).normal(size=(3, 8, 8, 8))
+    rows = patchify(vols, 2)
+    assert rows.shape == (3, 64, 8)
+    for b in range(3):
+        np.testing.assert_array_equal(rows[b], patchify(vols[b], 2))
+    np.testing.assert_array_equal(unpatchify(rows, 2, 8), vols)
 
 
 def test_output_shape_and_range(tiny):
@@ -76,6 +86,34 @@ def test_dim_mismatches(tiny):
         dec.forward(tokens, evidence[:0])
 
 
+def test_batch_dim_checks(tiny):
+    dec, tokens, evidence = tiny
+    with pytest.raises(DimMismatchError):
+        dec.forward(tokens[None], evidence)
+    with pytest.raises(DimMismatchError):
+        dec.forward(np.stack([tokens, tokens]), evidence[None])
+    padded, lengths = pad_evidence([evidence, evidence[:2]])
+    batch = np.stack([tokens, tokens])
+    for bad in ([3], [3, 0], [3, 4]):
+        with pytest.raises(ValidationError):
+            dec.forward(batch, padded, evidence_lengths=np.array(bad))
+
+
+def test_batched_forward_equals_batches_of_one(tiny):
+    dec, tokens, _ = tiny
+    rng = np.random.default_rng(7)
+    toks = [dec.volume_to_tokens(rng.normal(size=(4, 4, 4))) for _ in range(3)]
+    evs = [rng.normal(size=(n, 6)) for n in (2, 5, 3)]
+    padded, lengths = pad_evidence(evs)
+    np.testing.assert_array_equal(lengths, [2, 5, 3])
+    assert padded.shape == (3, 5, 6) and not padded[0, 2:].any()
+    logits, _ = dec.forward(np.stack(toks), padded, evidence_lengths=lengths)
+    assert logits.shape == (3, 4, 4, 4)
+    for b in range(3):
+        single, _ = dec.forward(toks[b], evs[b])
+        np.testing.assert_allclose(logits[b], single, rtol=1e-12, atol=0)
+
+
 def test_backward_matches_finite_differences(tiny):
     dec, tokens, evidence = tiny
     gt = (np.random.default_rng(2).random((4, 4, 4)) > 0.5).astype(float)
@@ -102,6 +140,40 @@ def test_backward_matches_finite_differences(tiny):
         return losses.dice_bce_loss(dec.forward(tokens, x)[0], gt).value
 
     assert losses.finite_difference_check(f_ev, evidence.copy(), dt) < 1e-4
+
+
+def test_batched_backward_matches_finite_differences(tiny):
+    """Batch of two with evidence lengths 3 and 5: the weight gradient sums
+    over the batch, and padded evidence rows get exactly zero gradient."""
+    dec, _, _ = tiny
+    rng = np.random.default_rng(11)
+    tokens = np.stack([dec.volume_to_tokens(rng.normal(size=(4, 4, 4))) for _ in range(2)])
+    evidence, lengths = pad_evidence([rng.normal(size=(3, 6)), rng.normal(size=(5, 6))])
+    gt = (rng.random((2, 4, 4, 4)) > 0.5).astype(float)
+
+    def loss_of(ev):
+        logits, _ = dec.forward(tokens, ev, evidence_lengths=lengths)
+        return losses.dice_bce_loss(logits, gt).value
+
+    logits, cache = dec.forward(tokens, evidence, evidence_lengths=lengths)
+    lw = losses.dice_bce_loss(logits, gt)
+    grads, dt = dec.backward(lw.grads["pred_logits"], cache)
+    assert dt.shape == evidence.shape
+    assert np.all(dt[0, 3:] == 0.0) and np.any(dt[0, :3] != 0.0)
+
+    h = 1e-5
+    flat = dec.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = loss_of(evidence)
+        flat[i] = orig - h
+        fm = loss_of(evidence)
+        flat[i] = orig
+        fd = (fp - fm) / (2 * h)
+        assert fd == pytest.approx(grads[i], rel=1e-3, abs=1e-8), f"flat entry {i}"
+
+    assert losses.finite_difference_check(loss_of, evidence.copy(), dt) < 1e-4
 
 
 def test_flat_adam_matches_per_tensor_formula(tiny):
@@ -137,6 +209,70 @@ def test_training_reduces_loss_single_sample(tiny):
     gt[:2] = 1.0
     curve = train_mask_decoder(dec, [(tokens, evidence, gt)], epochs=200, lr=3e-3)
     assert curve[-1] < curve[0] * 0.5
+
+
+def _samples(dec, n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            dec.volume_to_tokens(rng.normal(size=(4, 4, 4))),
+            rng.normal(size=(int(rng.integers(2, 5)), 6)),
+            rng.random((4, 4, 4)) > 0.6,
+        )
+        for _ in range(n)
+    ]
+
+
+def test_batch_of_one_is_the_per_sample_loop(tiny):
+    """batch_size=1 takes exactly the steps of a 2-D forward/backward loop."""
+    dec, _, _ = tiny
+    samples = _samples(dec, 4, seed=3)
+    ref = SegDecoder(dec.cfg)
+    opt = Adam(ref.flat, 2e-3)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        for idx in rng.permutation(len(samples)):
+            tokens, ev, mask = samples[idx]
+            logits, cache = ref.forward(tokens, ev)
+            loss = losses.dice_bce_loss(logits, mask.astype(float))
+            opt.step(ref.flat, ref.backward(loss.grads["pred_logits"], cache)[0])
+    got = SegDecoder(dec.cfg)
+    train_mask_decoder(got, samples, epochs=3, lr=2e-3, seed=5, batch_size=1)
+    np.testing.assert_array_equal(got.flat, ref.flat)
+
+
+def test_short_last_batch_trains(tiny, monkeypatch):
+    dec, _, _ = tiny
+    samples = _samples(dec, 5, seed=4)
+    steps = []
+    step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda self, p, g: steps.append(1) or step(self, p, g))
+    before = dec.flat.copy()
+    curve = train_mask_decoder(dec, samples, epochs=40, lr=3e-3, batch_size=2)
+    assert len(steps) == 40 * 3  # ceil(5 / 2) steps per epoch, the last on one sample
+    assert np.all(np.isfinite(dec.flat)) and not np.array_equal(dec.flat, before)
+    assert curve[-1] < curve[0]
+
+
+def test_bool_and_float_masks_give_equal_checkpoints(tmp_path, tiny):
+    dec, _, _ = tiny
+    samples = _samples(dec, 5, seed=6)
+    as_float = [(t, e, m.astype(np.float64)) for t, e, m in samples]
+    for name, data in (("bool", samples), ("float", as_float)):
+        model = SegDecoder(dec.cfg)
+        train_mask_decoder(model, data, epochs=3, lr=2e-3, batch_size=2)
+        model.save(tmp_path / name)
+        if name == "bool":
+            trained = model.flat.copy()
+    np.testing.assert_array_equal(model.flat, trained)
+    for path in sorted((tmp_path / "bool").iterdir()):
+        assert path.read_bytes() == (tmp_path / "float" / path.name).read_bytes(), path.name
+
+
+def test_batch_size_must_be_positive(tiny):
+    dec, tokens, evidence = tiny
+    with pytest.raises(ValidationError):
+        train_mask_decoder(dec, [(tokens, evidence, np.zeros((4, 4, 4)))], 1, 1e-3, batch_size=0)
 
 
 def test_checkpoint_roundtrip(tmp_path, tiny):
