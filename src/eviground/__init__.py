@@ -1,103 +1,3 @@
 """Desk-scale pipeline for evidence-grounded diagnostic report training."""
 
-from .cohort import Cohort, CohortConfig, generate_cohort
-from .config import RunConfig
-from .distill import DistillConfig, TeacherGrounder, distill_loss, train_student
-from .grounding import (
-    GrounderConfig,
-    GroundingBatch,
-    ground_sentence,
-    kappa,
-    multi_positive_infonce,
-    train_grounding,
-)
-from .losses import (
-    LossWithGrad,
-    cosine_similarity,
-    dice_bce_loss,
-    dice_score,
-    finite_difference_check,
-    kl_divergence,
-    mse_loss,
-    softmax,
-    token_nll,
-)
-from .metrics import eval_consistency, eval_grounding, mean_average_precision, recall_at_k
-from .policy import (
-    ReportPolicy,
-    RftConfig,
-    grpo_loss,
-    importance_ratio,
-    normalize_advantages,
-    sample_group,
-    train_rft,
-)
-from .pretrain import EmaState, ema_update, itc_loss, reconstruction_losses
-from .records import EvidenceItem, PatientRecord
-from .report import ClinicalReport, format_reward, parse_report, segment_sentences
-from .rules import (
-    LexicalEntailmentScorer,
-    RewardBreakdown,
-    RuleConfig,
-    total_reward,
-)
-from .segdecoder import SegDecoder, SegDecoderConfig, decode_mask
-from .textenc import Embedder, tokenize
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Cohort",
-    "CohortConfig",
-    "ClinicalReport",
-    "DistillConfig",
-    "EmaState",
-    "Embedder",
-    "EvidenceItem",
-    "GrounderConfig",
-    "GroundingBatch",
-    "LexicalEntailmentScorer",
-    "LossWithGrad",
-    "PatientRecord",
-    "ReportPolicy",
-    "RewardBreakdown",
-    "RftConfig",
-    "RuleConfig",
-    "RunConfig",
-    "SegDecoder",
-    "SegDecoderConfig",
-    "TeacherGrounder",
-    "cosine_similarity",
-    "decode_mask",
-    "dice_bce_loss",
-    "dice_score",
-    "distill_loss",
-    "ema_update",
-    "eval_consistency",
-    "eval_grounding",
-    "finite_difference_check",
-    "format_reward",
-    "generate_cohort",
-    "ground_sentence",
-    "grpo_loss",
-    "importance_ratio",
-    "itc_loss",
-    "kappa",
-    "kl_divergence",
-    "mean_average_precision",
-    "mse_loss",
-    "multi_positive_infonce",
-    "normalize_advantages",
-    "parse_report",
-    "recall_at_k",
-    "reconstruction_losses",
-    "sample_group",
-    "segment_sentences",
-    "softmax",
-    "token_nll",
-    "tokenize",
-    "total_reward",
-    "train_grounding",
-    "train_rft",
-    "train_student",
-]

@@ -209,12 +209,15 @@ def _cmd_label_efficiency(args) -> int:
     out = Path(args.out)
     _write_run_json(out, "label-efficiency", cfg)
     metrics.write_rows_csv(
-        out / "label_efficiency.csv", rows, ["fraction", "teacher_r3", "student_r3", "ratio"]
+        out / "label_efficiency.csv",
+        rows,
+        ["fraction", "teacher_r3", "student_r3", "ratio", "student_kl"],
     )
     for row in rows:
         print(
             f"fraction {row['fraction']:.2f}: teacher {row['teacher_r3']:.3f} "
-            f"student {row['student_r3']:.3f} ratio {row['ratio']:.3f}"
+            f"student {row['student_r3']:.3f} ratio {row['ratio']:.3f} "
+            f"student_kl {row['student_kl']:.4f}"
         )
     return 0
 

@@ -2,11 +2,12 @@
 
 A frozen teacher grounder produces soft evidence distributions for the
 sentences of generated reports; a student embedder is trained to match
-them. Teacher outputs are computed once and cached, so they are bitwise
-identical across epochs, and no gradient ever touches teacher parameters.
-The teacher's targets come from one embedding per distinct text (its
-:class:`~eviground.textenc.FrozenTexts` memo), which the held-out recall of
-the teacher reuses.
+them, one SGD step per generated report on the mean loss over its
+sentences. Teacher outputs are computed once and cached, so they are
+bitwise identical across epochs, and no gradient ever touches teacher
+parameters. The teacher's targets come from one embedding per distinct
+text (its :class:`~eviground.textenc.FrozenTexts` memo), which the held-out
+recall and KL of the teacher reuse.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .errors import (
     UntrainedTeacherError,
     ValidationError,
 )
-from .grounding import GrounderConfig, train_grounding
+from .grounding import GrounderConfig, grounding_logits, train_grounding
 from .losses import PROB_FLOOR, LossWithGrad, kl_divergence, softmax
-from .metrics import rank_evidences, recall_at_k
+from .metrics import evidence_ranking, recall_at_k
 from .records import PatientRecord
 from .report import ClinicalReport
 from .textenc import Embedder, FrozenTexts
@@ -57,20 +58,25 @@ class DistillConfig:
 
 
 def distill_loss(teacher_p: np.ndarray, student_logits: np.ndarray, tau_d: float) -> LossWithGrad:
-    """tau_d^2 * KL(teacher || softmax(student_logits / tau_d)).
+    """Mean over rows of tau_d^2 * KL(teacher || softmax(student_logits / tau_d)).
 
-    Gradient is with respect to the student logits only.
+    Inputs are one (E,) row or an (n, E) batch of rows; the gradient, with
+    respect to the student logits only, is per row and divided by n. A 1-D
+    call divides by n = 1, which is exact.
     """
     q = np.asarray(teacher_p, dtype=np.float64)
     z = np.asarray(student_logits, dtype=np.float64)
     if q.shape != z.shape:
         raise ValidationError(f"length mismatch: {q.shape} vs {z.shape}")
+    if q.ndim not in (1, 2) or q.size == 0:
+        raise ValidationError(f"expected a non-empty (E,) or (n, E) batch, got {q.shape}")
+    n = q.shape[0] if q.ndim == 2 else 1
     p = softmax(z, temperature=tau_d)
-    value = tau_d * tau_d * kl_divergence(q, p)
+    value = tau_d * tau_d * kl_divergence(q, p) / n
     # only terms with q_i > 0 and p_i above the floor contribute to the value
     active = (q > 0) & (p > PROB_FLOOR)
     q_active = np.where(active, q, 0.0)
-    grad = tau_d * (p * q_active.sum() - q_active)
+    grad = tau_d * (p * q_active.sum(axis=-1, keepdims=True) - q_active) / n
     return LossWithGrad(value, {"student_logits": grad})
 
 
@@ -81,8 +87,6 @@ def teacher_evidence_distribution(
     tau_d: float,
 ) -> np.ndarray:
     """tau_d-tempered softmax of the teacher's grounding logits."""
-    from .grounding import grounding_logits
-
     logits = grounding_logits(sentence, evidences, teacher.texts, teacher.tau)
     return softmax(logits, temperature=tau_d)
 
@@ -94,10 +98,13 @@ def train_student(
     *,
     seed: int,
 ) -> tuple[Embedder, list[float]]:
-    """Minimize lambda_kl * distill loss over all generated sentences.
+    """Minimize lambda_kl * distill loss over all generated sentences, one
+    SGD step per generated report on the mean loss over its sentences.
 
     Candidates for each sentence are restricted to its patient's evidence
-    set. Returns the student and the per-epoch loss curve.
+    set, which all sentences of a report share; reports without reasoning
+    sentences are skipped. Returns the student and the per-epoch curve of
+    the per-sentence mean loss.
     """
     if not teacher.trained:
         raise UntrainedTeacherError("teacher must be trained before distillation")
@@ -116,19 +123,24 @@ def train_student(
     )
     teacher_before = teacher.embedder.flat.copy()
 
-    # cache teacher targets and head-independent features once
+    # cache teacher targets and head-independent features once per report
     items = []
     for record, parsed in reports:
-        descriptors = [e.descriptor for e in record.evidence]
-        feat_e = student.features_of_texts(descriptors)
-        for sentence in parsed.reasoning_sentences:
-            q = teacher_evidence_distribution(
-                teacher, sentence, record.evidence, cfg.distill_temperature
-            )
-            feat_s = student.features_of_texts([sentence])
-            items.append((feat_s, feat_e, q))
+        sentences = parsed.reasoning_sentences
+        if not sentences:
+            continue
+        q = np.stack(
+            [
+                teacher_evidence_distribution(teacher, s, record.evidence, cfg.distill_temperature)
+                for s in sentences
+            ]
+        )
+        feat_s = student.features_of_texts(sentences)
+        feat_e = student.features_of_texts([e.descriptor for e in record.evidence])
+        items.append((feat_s, feat_e, q))
     if not items:
         raise EmptyDatasetError("generated reports contain no sentences")
+    n_sentences = sum(len(q) for _, _, q in items)
 
     rng = np.random.default_rng(seed)
     curve = []
@@ -138,29 +150,38 @@ def train_student(
             feat_s, feat_e, q = items[idx]
             v_s, cache_s = student.encode_features(feat_s)
             v_e, cache_e = student.encode_features(feat_e)
-            logits = (v_s @ v_e.T).ravel() / teacher.tau
+            logits = v_s @ v_e.T / teacher.tau
             loss = distill_loss(q, logits, cfg.distill_temperature)
-            total += cfg.lambda_kl * loss.value
+            total += cfg.lambda_kl * loss.value * len(q)
             dz = cfg.lambda_kl * loss.grads["student_logits"]
-            d_vs = (dz[None, :] @ v_e) / teacher.tau
-            d_ve = dz[:, None] * v_s / teacher.tau  # np.outer(dz, v_s), v_s is one row
-            g_s = student.backward_texts(cache_s, d_vs)
-            g_e = student.backward_texts(cache_e, d_ve)
+            g_s = student.backward_texts(cache_s, dz @ v_e / teacher.tau)
+            g_e = student.backward_texts(cache_e, dz.T @ v_s / teacher.tau)
             student.flat -= cfg.lr * (g_s + g_e)
-        curve.append(total / len(items))
+        curve.append(total / n_sentences)
 
     if not np.array_equal(teacher_before, teacher.embedder.flat):
         raise AssertionError("teacher parameters changed during distillation")
     return student, curve
 
 
-def _split_r3(texts: FrozenTexts, cohort, split: str, tau: float) -> float:
-    values = []
-    for row in cohort.rows_for(split):
-        record = cohort.records[row.patient_id]
-        ranked = rank_evidences(row.sentence, record, texts, tau)
-        values.append(recall_at_k(ranked, set(row.evidence_ids), 3))
-    return float(np.mean(values))
+def _held_out(
+    teacher: TeacherGrounder, student: FrozenTexts, cohort, tau_d: float
+) -> tuple[float, float, float]:
+    """Teacher R@3, student R@3 and the student's mean tau_d^2 *
+    KL(teacher || student) over the test split's grounding sentences (the
+    reasoning sentences of its generated reports), each against its
+    patient's evidence set; each sentence is scored once per embedder."""
+    r3_teacher, r3_student, kl = [], [], []
+    for row in cohort.rows_for("test"):
+        evidence = cohort.records[row.patient_id].evidence
+        gold = set(row.evidence_ids)
+        z_t = grounding_logits(row.sentence, evidence, teacher.texts, teacher.tau)
+        z_s = grounding_logits(row.sentence, evidence, student, teacher.tau)
+        r3_teacher.append(recall_at_k(evidence_ranking(z_t, evidence), gold, 3))
+        r3_student.append(recall_at_k(evidence_ranking(z_s, evidence), gold, 3))
+        q = softmax(z_t, temperature=tau_d)
+        kl.append(tau_d * tau_d * kl_divergence(q, softmax(z_s, temperature=tau_d)))
+    return float(np.mean(r3_teacher)), float(np.mean(r3_student)), float(np.mean(kl))
 
 
 def generated_reports_for(cohort, ids: list[str]) -> list[tuple[PatientRecord, ClinicalReport]]:
@@ -183,7 +204,8 @@ def label_efficiency_experiment(
     seed: int,
 ) -> list[dict]:
     """Per fraction: teacher on the labeled subset, student distilled on all
-    generated train reports, both evaluated on the held-out split."""
+    generated train reports, both evaluated on the held-out split by R@3;
+    ``student_kl`` is the student's held-out distillation loss."""
     if not fractions:
         raise ValidationError("no label fractions given")
     base_distill = distill_cfg or DistillConfig()
@@ -206,14 +228,16 @@ def label_efficiency_experiment(
         emb_t, _, _ = train_grounding(cohort, base_grounder, patient_ids=labeled, seed=seed)
         teacher = TeacherGrounder(emb_t, tau=base_grounder.tau, trained=True)
         student, _ = train_student(reports, teacher, base_distill, seed=seed)
-        teacher_r3 = _split_r3(teacher.texts, cohort, "test", base_grounder.tau)
-        student_r3 = _split_r3(FrozenTexts(student), cohort, "test", base_grounder.tau)
+        teacher_r3, student_r3, student_kl = _held_out(
+            teacher, FrozenTexts(student), cohort, base_distill.distill_temperature
+        )
         rows.append(
             {
                 "fraction": fraction,
                 "teacher_r3": teacher_r3,
                 "student_r3": student_r3,
                 "ratio": student_r3 / teacher_r3 if teacher_r3 > 0 else 0.0,
+                "student_kl": student_kl,
             }
         )
     return rows

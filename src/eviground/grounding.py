@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyEvidenceError, NoPositiveError, ValidationError
-from .losses import LossWithGrad, cosine_similarity, softmax
+from .losses import LossWithGrad, cosine_similarity
 from .records import EvidenceItem
-
-
-def kappa(s_vec: np.ndarray, e_vec: np.ndarray, tau: float) -> float:
-    """Scaled exponential similarity exp(cos(s, e) / tau)."""
-    if tau <= 0:
-        raise ValidationError("temperature must be positive")
-    return math.exp(cosine_similarity(s_vec, e_vec) / tau)
 
 
 @dataclass
@@ -120,16 +113,6 @@ def grounding_logits(sentence: str, evidences: list[EvidenceItem], emb, tau: flo
     return np.array(
         [cosine_similarity(s_vec, emb.embed_text(e.descriptor)) / tau for e in evidences]
     )
-
-
-def ground_sentence(
-    sentence: str,
-    evidences: list[EvidenceItem],
-    emb,
-    tau: float = 0.07,
-) -> np.ndarray:
-    """Soft distribution over candidate evidences for one sentence."""
-    return softmax(grounding_logits(sentence, evidences, emb, tau))
 
 
 @dataclass

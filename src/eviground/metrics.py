@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyGoldError
 from .grounding import grounding_logits
-from .records import PatientRecord
+from .records import EvidenceItem, PatientRecord
 from .report import parse_report
 from .rules import EntailmentScorer, RuleConfig, total_reward
 from .segdecoder import SegDecoder, decode_mask
@@ -46,11 +46,15 @@ def mean_average_precision(rankings: list[list[str]], golds: list[set[str]]) -> 
     return float(np.mean([average_precision(r, g) for r, g in zip(rankings, golds)]))
 
 
+def evidence_ranking(logits: np.ndarray, evidence: list[EvidenceItem]) -> list[str]:
+    """Evidence ids, highest logit first; ties keep list order."""
+    order = np.argsort(-logits, kind="stable")
+    return [evidence[j].id for j in order]
+
+
 def rank_evidences(sentence: str, record: PatientRecord, emb, tau: float) -> list[str]:
     """Evidence ids of the patient, most similar first; ties keep list order."""
-    logits = grounding_logits(sentence, record.evidence, emb, tau)
-    order = np.argsort(-logits, kind="stable")
-    return [record.evidence[j].id for j in order]
+    return evidence_ranking(grounding_logits(sentence, record.evidence, emb, tau), record.evidence)
 
 
 def eval_grounding(
@@ -110,30 +114,6 @@ def eval_grounding(
         metrics["dice.overall"] = float(np.mean(all_vals))
         metrics["dice_ablated.overall"] = float(np.mean(all_ablated))
     return metrics
-
-
-def chance_map(cohort, split: str, emb, tau: float = 0.07, seed: int = 0, trials: int = 20) -> float:
-    """Permutation baseline: MAP of the model's rankings against gold sets
-    reassigned at random within each patient's evidence pool."""
-    rng = np.random.default_rng(seed)
-    rows = cohort.rows_for(split)
-    texts = FrozenTexts(emb)
-    rankings = []
-    pools = []
-    sizes = []
-    for row in rows:
-        record = cohort.records[row.patient_id]
-        rankings.append(rank_evidences(row.sentence, record, texts, tau))
-        pools.append([e.id for e in record.evidence])
-        sizes.append(len(row.evidence_ids))
-    values = []
-    for _ in range(trials):
-        golds = [
-            set(rng.choice(pool, size=size, replace=False))
-            for pool, size in zip(pools, sizes)
-        ]
-        values.append(mean_average_precision(rankings, golds))
-    return float(np.mean(values))
 
 
 def eval_consistency(

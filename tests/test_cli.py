@@ -1,6 +1,7 @@
 """CLI exit codes, output contracts, and rerun reproducibility."""
 
 import json
+import math
 import shlex
 import shutil
 from pathlib import Path
@@ -251,7 +252,7 @@ def test_train_and_eval_pipeline(tmp_path, cohort_dir, capsys):
     assert names == {"accuracy", "valid_format_rate", "nia_consistency_rate", "entailment_rate"}
 
 
-def test_label_efficiency_csv_schema(tmp_path, cohort_dir):
+def test_label_efficiency_csv_schema(tmp_path, cohort_dir, capsys):
     out = tmp_path / "le"
     code = cli_main(
         [
@@ -266,8 +267,11 @@ def test_label_efficiency_csv_schema(tmp_path, cohort_dir):
     )
     assert code == 0
     lines = (out / "label_efficiency.csv").read_text().splitlines()
-    assert lines[0] == "fraction,teacher_r3,student_r3,ratio"
+    assert lines[0] == "fraction,teacher_r3,student_r3,ratio,student_kl"
     assert len(lines) == 2
+    student_kl = float(lines[1].split(",")[4])
+    assert math.isfinite(student_kl) and student_kl >= 0.0
+    assert f"student_kl {student_kl:.4f}" in capsys.readouterr().out
 
 
 def test_label_efficiency_seed_reaches_teacher(tmp_path, cohort_dir):
@@ -286,7 +290,7 @@ def test_label_efficiency_seed_reaches_teacher(tmp_path, cohort_dir):
         seed=3,
     )
     want = tmp_path / "want.csv"
-    write_rows_csv(want, rows, ["fraction", "teacher_r3", "student_r3", "ratio"])
+    write_rows_csv(want, rows, ["fraction", "teacher_r3", "student_r3", "ratio", "student_kl"])
     assert (out / "label_efficiency.csv").read_bytes() == want.read_bytes()
 
 

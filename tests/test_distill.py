@@ -1,5 +1,6 @@
 """Distillation loss, stage ordering, and teacher-freeze contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,41 @@ class TestDistillLoss:
 
         assert max(check_distill(s) for s in range(10)) < 1e-4
 
+    def test_batch_gradient_fd(self):
+        from eviground.gradcheck import TOLERANCE
+        from eviground.losses import finite_difference_check
+
+        rng = np.random.default_rng(7)
+        q = softmax(rng.normal(size=(3, 5)), temperature=2.0)
+        z = rng.normal(size=(3, 5))
+        lw = distill.distill_loss(q, z, 2.0)
+        err = finite_difference_check(
+            lambda x: distill.distill_loss(q, x, 2.0).value, z.copy(), lw.grads["student_logits"]
+        )
+        assert err < TOLERANCE
+
+    def test_single_row_batch_equals_1d_call(self):
+        rng = np.random.default_rng(3)
+        q = softmax(rng.normal(size=6), temperature=2.0)
+        z = rng.normal(size=6)
+        one = distill.distill_loss(q, z, 2.0)
+        row = distill.distill_loss(q[None, :], z[None, :], 2.0)
+        assert row.value == one.value
+        assert np.array_equal(row.grads["student_logits"], one.grads["student_logits"][None, :])
+
+    def test_batch_is_mean_of_rows(self):
+        rng = np.random.default_rng(5)
+        q = softmax(rng.normal(size=(4, 7)), temperature=2.0)
+        z = rng.normal(size=(4, 7))
+        batch = distill.distill_loss(q, z, 2.0)
+        rows = [distill.distill_loss(q[i], z[i], 2.0) for i in range(4)]
+        np.testing.assert_allclose(batch.value, np.mean([r.value for r in rows]), rtol=1e-12)
+        np.testing.assert_allclose(
+            batch.grads["student_logits"],
+            np.stack([r.grads["student_logits"] for r in rows]) / 4,
+            rtol=1e-12,
+        )
+
     def test_defaults_match_experimental_setup(self):
         cfg = distill.DistillConfig()
         assert cfg.distill_temperature == 2.0
@@ -85,6 +121,25 @@ class TestTrainStudent:
         for a, b in zip(smoothed, smoothed[1:]):
             assert b < a
 
+    def test_one_step_per_report_with_sentences(self, teacher, train_reports, monkeypatch):
+        silent = dataclasses.replace(train_reports[0][1], reasoning="", reasoning_sentences=[])
+        reports = [(train_reports[0][0], silent)] + train_reports[1:]
+        rows = []
+        distill_loss = distill.distill_loss
+
+        def counting(teacher_p, student_logits, tau_d):
+            rows.append(len(teacher_p))
+            return distill_loss(teacher_p, student_logits, tau_d)
+
+        monkeypatch.setattr(distill, "distill_loss", counting)
+        cfg = distill.DistillConfig(epochs=3)
+        distill.train_student(reports, teacher, cfg, seed=0)
+        sizes = [len(p.reasoning_sentences) for _, p in train_reports[1:] if p.reasoning_sentences]
+        assert len(rows) == cfg.epochs * len(sizes)
+        assert sorted(rows) == sorted(sizes * cfg.epochs)
+        with pytest.raises(EmptyDatasetError):
+            distill.train_student(reports[:1], teacher, cfg, seed=0)
+
     def test_teacher_bitwise_frozen(self, teacher, train_reports):
         before = teacher.embedder.flat.copy()
         distill.train_student(
@@ -104,6 +159,15 @@ class TestLabelEfficiency:
         rows = distill.label_efficiency_experiment(small_cohort, [1.0], cfg, gcfg, seed=0)
         assert 0.0 <= rows[0]["ratio"] <= 1.05
 
+
+    def test_student_kl_is_zero_only_at_teacher_weights(self, small_cohort):
+        gcfg = GrounderConfig(epochs=2, train_decoder=False)
+        copy = distill.DistillConfig(epochs=1, lr=0.0, init_from_teacher=True)
+        fresh = distill.DistillConfig(epochs=1)
+        (same,) = distill.label_efficiency_experiment(small_cohort, [1.0], copy, gcfg, seed=0)
+        (other,) = distill.label_efficiency_experiment(small_cohort, [1.0], fresh, gcfg, seed=0)
+        assert same["student_kl"] == 0.0
+        assert other["student_kl"] > 0.0
 
     def test_embeds_each_text_once_per_embedder(self, small_cohort, monkeypatch):
         seen, owners = [], []

@@ -56,19 +56,6 @@ def brute_force_loss(batch, emb, tau):
     return s2e + e2s
 
 
-class TestKappa:
-    def test_identical_unit_vectors(self):
-        v = np.array([1.0, 0.0])
-        assert grounding.kappa(v, v, 1.0) == pytest.approx(math.e, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert grounding.kappa(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0) == 1.0
-
-    def test_paper_temperature(self):
-        v = np.array([0.6, 0.8])
-        assert grounding.kappa(v, v, 0.07) == pytest.approx(math.exp(1 / 0.07), rel=1e-9)
-
-
 class TestMultiPositiveInfonce:
     def test_one_positive_one_orthogonal_negative(self):
         """Identical-embedding pair plus an orthogonal negative at tau=1
@@ -183,26 +170,33 @@ class TestMultiPositiveInfonce:
 
 
 class TestGroundSentence:
+    """One sentence against its candidate evidences: ``grounding_logits`` and
+    the tempered distribution distillation takes from them."""
+
+    @staticmethod
+    def _distribution(sentence, evidences, emb, tau=0.07):
+        from eviground.distill import TeacherGrounder, teacher_evidence_distribution
+
+        return teacher_evidence_distribution(TeacherGrounder(emb, tau=tau), sentence, evidences, 1.0)
+
     def test_single_candidate(self):
-        emb = Embedder(seed=0)
-        p = grounding.ground_sentence("memory", [_ev(0, "memory score")], emb)
+        p = self._distribution("memory", [_ev(0, "memory score")], Embedder(seed=0))
         np.testing.assert_allclose(p, [1.0])
 
     def test_empty_candidates_raise(self):
         with pytest.raises(EmptyEvidenceError):
-            grounding.ground_sentence("memory", [], Embedder(seed=0))
+            grounding.grounding_logits("memory", [], Embedder(seed=0), 0.07)
 
     def test_permutation_equivariance(self):
         emb = Embedder(seed=1)
         evs = [_ev(j, t) for j, t in enumerate(["memory score", "tau level", "brain volume"])]
-        p = grounding.ground_sentence("memory is low", evs, emb)
-        p_rev = grounding.ground_sentence("memory is low", evs[::-1], emb)
-        np.testing.assert_allclose(p, p_rev[::-1], atol=1e-12)
+        z = grounding.grounding_logits("memory is low", evs, emb, 0.07)
+        z_rev = grounding.grounding_logits("memory is low", evs[::-1], emb, 0.07)
+        np.testing.assert_allclose(z, z_rev[::-1], atol=1e-12)
 
     def test_sums_to_one(self):
-        emb = Embedder(seed=1)
         evs = [_ev(j, t) for j, t in enumerate(["memory score", "tau level"])]
-        assert grounding.ground_sentence("anything here", evs, emb).sum() == pytest.approx(1.0)
+        assert self._distribution("anything here", evs, Embedder(seed=1)).sum() == pytest.approx(1.0)
 
     def test_lexically_identical_descriptor_dominates(self, small_cohort):
         from eviground.grounding import GrounderConfig, train_grounding
@@ -213,7 +207,7 @@ class TestGroundSentence:
         pid = small_cohort.split["test"][0]
         record = small_cohort.records[pid]
         target = record.evidence[4]  # a cognition descriptor
-        probs = grounding.ground_sentence(target.descriptor, record.evidence, emb, tau=0.07)
+        probs = self._distribution(target.descriptor, record.evidence, emb, tau=0.07)
         assert probs[4] > 0.99
 
 

@@ -119,16 +119,6 @@ class TestEvalConsistency:
 
 
 class TestEvalGrounding:
-    def test_untrained_map_between_chance_and_perfect(self, small_cohort):
-        from eviground.textenc import Embedder
-
-        emb = Embedder(seed=0)
-        table = metrics.eval_grounding(emb, None, small_cohort, "test")
-        chance = metrics.chance_map(small_cohort, "test", emb, seed=0)
-        # the hashed lexical backbone retrieves well above chance even with a
-        # random head; untrained performance sits between chance and trained
-        assert chance + 0.15 < table["map"] < 1.0
-
     def test_one_ablated_pass_per_patient(self, small_cohort, monkeypatch):
         from eviground.losses import dice_score
         from eviground.segdecoder import SegDecoder, SegDecoderConfig, decode_mask
