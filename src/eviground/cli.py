@@ -142,36 +142,25 @@ def _cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
     cohort = Cohort.load(args.cohort)
     data = pretrain_data_from_cohort(cohort, "train", cfg.pretrain)
-    history = run_pretrain(data, cfg.pretrain, seed=cfg.seed)
+    rows = run_pretrain(data, cfg.pretrain, seed=cfg.seed)
     out = Path(args.out)
     _write_run_json(out, "pretrain", cfg)
-    metrics.write_rows_csv(
-        out / "pretrain_log.csv", history, ["step", "l_itc", "l_res_v", "l_res_t", "l_pt"]
-    )
-    print(f"l_pt {history[0]['l_pt']:.4f} -> {history[-1]['l_pt']:.4f}")
+    metrics.write_rows_csv(out / "pretrain_log.csv", rows)
+    print(f"l_pt {rows[0]['l_pt']:.4f} -> {rows[-1]['l_pt']:.4f}")
     return 0
 
 
 def _cmd_train_sea(args) -> int:
     cfg = _resolve_config(args)
     cohort = Cohort.load(args.cohort)
-    emb, dec, history = train_grounding(cohort, cfg.grounder, seed=cfg.seed)
+    emb, dec, rows = train_grounding(cohort, cfg.grounder, seed=cfg.seed)
     out = Path(args.out)
     _write_run_json(out, "train-sea", cfg)
     emb.save(out / "embedder")
     if dec is not None:
         dec.save(out / "decoder")
-    rows = [
-        {"epoch": i, "l_se": v, "l_mask": ""}
-        for i, v in enumerate(history["l_se"])
-    ]
-    for i, v in enumerate(history["l_mask"]):
-        if i < len(rows):
-            rows[i]["l_mask"] = v
-        else:
-            rows.append({"epoch": i, "l_se": "", "l_mask": v})
-    metrics.write_rows_csv(out / "grounding_log.csv", rows, ["epoch", "l_se", "l_mask"])
-    print(f"l_se {history['l_se'][0]:.4f} -> {history['l_se'][-1]:.4f}")
+    metrics.write_rows_csv(out / "grounding_log.csv", rows)
+    print(f"l_se {rows[0]['l_se']:.4f} -> {rows[cfg.grounder.epochs - 1]['l_se']:.4f}")
     return 0
 
 
@@ -181,16 +170,12 @@ def _cmd_distill(args) -> int:
     emb = _load_embedder(Path(args.teacher))
     teacher = TeacherGrounder(emb, tau=cfg.grounder.tau, trained=True)
     reports = generated_reports_for(cohort, cohort.split["train"])
-    student, curve = train_student(reports, teacher, cfg.distill, seed=cfg.seed)
+    student, rows = train_student(reports, teacher, cfg.distill, seed=cfg.seed)
     out = Path(args.out)
     _write_run_json(out, "distill", cfg)
     student.save(out / "embedder")
-    metrics.write_rows_csv(
-        out / "distill_log.csv",
-        [{"epoch": i, "loss": v} for i, v in enumerate(curve)],
-        ["epoch", "loss"],
-    )
-    print(f"distill loss {curve[0]:.6f} -> {curve[-1]:.6f}")
+    metrics.write_rows_csv(out / "distill_log.csv", rows)
+    print(f"distill loss {rows[0]['loss']:.6f} -> {rows[-1]['loss']:.6f}")
     return 0
 
 
@@ -208,11 +193,7 @@ def _cmd_label_efficiency(args) -> int:
     )
     out = Path(args.out)
     _write_run_json(out, "label-efficiency", cfg)
-    metrics.write_rows_csv(
-        out / "label_efficiency.csv",
-        rows,
-        ["fraction", "teacher_r3", "student_r3", "ratio", "student_kl"],
-    )
+    metrics.write_rows_csv(out / "label_efficiency.csv", rows)
     for row in rows:
         print(
             f"fraction {row['fraction']:.2f}: teacher {row['teacher_r3']:.3f} "
@@ -234,11 +215,7 @@ def _cmd_train_grpo(args) -> int:
     out = Path(args.out)
     _write_run_json(out, "train-grpo", cfg)
     policy.save(out / "policy")
-    metrics.write_rows_csv(
-        out / "rft_log.csv",
-        rows,
-        ["iter", "mean_reward", "r_format", "r_nia", "r_consistency", "kl_ref"],
-    )
+    metrics.write_rows_csv(out / "rft_log.csv", rows)
     print(f"mean reward {rows[0]['mean_reward']:.3f} -> {rows[-1]['mean_reward']:.3f}")
     return 0
 

@@ -55,6 +55,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.distill_temperature <= 0:
             raise ValidationError("distill_temperature must be positive")
+        if self.epochs < 1 or self.lr < 0 or self.lambda_kl < 0:
+            raise ValidationError("epochs >= 1, lr >= 0 and lambda_kl >= 0 required")
 
 
 def distill_loss(teacher_p: np.ndarray, student_logits: np.ndarray, tau_d: float) -> LossWithGrad:
@@ -97,14 +99,14 @@ def train_student(
     cfg: DistillConfig,
     *,
     seed: int,
-) -> tuple[Embedder, list[float]]:
+) -> tuple[Embedder, list[dict]]:
     """Minimize lambda_kl * distill loss over all generated sentences, one
     SGD step per generated report on the mean loss over its sentences.
 
     Candidates for each sentence are restricted to its patient's evidence
     set, which all sentences of a report share; reports without reasoning
-    sentences are skipped. Returns the student and the per-epoch curve of
-    the per-sentence mean loss.
+    sentences are skipped. Returns the student and one log row per epoch of
+    ``epoch, loss``, the per-sentence mean loss.
     """
     if not teacher.trained:
         raise UntrainedTeacherError("teacher must be trained before distillation")
@@ -143,8 +145,8 @@ def train_student(
     n_sentences = sum(len(q) for _, _, q in items)
 
     rng = np.random.default_rng(seed)
-    curve = []
-    for _ in range(cfg.epochs):
+    rows = []
+    for epoch in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(items)):
             feat_s, feat_e, q = items[idx]
@@ -157,11 +159,11 @@ def train_student(
             g_s = student.backward_texts(cache_s, dz @ v_e / teacher.tau)
             g_e = student.backward_texts(cache_e, dz.T @ v_s / teacher.tau)
             student.flat -= cfg.lr * (g_s + g_e)
-        curve.append(total / n_sentences)
+        rows.append({"epoch": epoch, "loss": total / n_sentences})
 
     if not np.array_equal(teacher_before, teacher.embedder.flat):
         raise AssertionError("teacher parameters changed during distillation")
-    return student, curve
+    return student, rows
 
 
 def _held_out(

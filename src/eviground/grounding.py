@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -131,8 +132,8 @@ class GrounderConfig:
     decoder_layers: int = 4
 
     def __post_init__(self):
-        if self.epochs < 1 or self.tau <= 0 or self.lr <= 0:
-            raise ValidationError("epochs >= 1, tau > 0, lr > 0 required")
+        if self.epochs < 1 or self.tau <= 0 or self.lr <= 0 or self.decoder_lr <= 0:
+            raise ValidationError("epochs >= 1, tau > 0, lr > 0, decoder_lr > 0 required")
         if min(self.lambda_mask, self.lambda_dice, self.lambda_bce) < 0:
             raise ValidationError("loss weights must be nonnegative")
 
@@ -154,8 +155,9 @@ def train_grounding(
     """Fit the embedder on per-patient contrastive batches, then the mask
     decoder on (volume tokens, evidence tokens, mask) triples.
 
-    Returns (embedder, decoder-or-None, history) where history carries the
-    per-epoch contrastive and mask loss curves.
+    Returns (embedder, decoder-or-None, rows): one log row per epoch of
+    ``epoch, l_se, l_mask`` (contrastive and mask loss), "" where one curve
+    is shorter than the other.
     """
     from .textenc import Embedder, tokenize
     from .segdecoder import SegDecoder, SegDecoderConfig, train_mask_decoder
@@ -226,4 +228,5 @@ def train_grounding(
             lambda_bce=cfg.lambda_bce,
             seed=seed,
         )
-    return emb, decoder, {"l_se": se_curve, "l_mask": mask_curve}
+    curves = zip_longest(se_curve, mask_curve, fillvalue="")
+    return emb, decoder, [{"epoch": i, "l_se": s, "l_mask": m} for i, (s, m) in enumerate(curves)]

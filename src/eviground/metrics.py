@@ -149,9 +149,9 @@ def write_metrics_csv(path: str | Path, metrics: dict) -> None:
             writer.writerow([key, metrics[key]])
 
 
-def write_rows_csv(path: str | Path, rows: list[dict], columns: list[str]) -> None:
+def write_rows_csv(path: str | Path, rows: list[dict]) -> None:
+    """One CSV line per row; the first row's keys, in order, are the header."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in columns})
+        writer.writerows(rows)

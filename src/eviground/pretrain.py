@@ -110,10 +110,10 @@ class PretrainConfig:
     max_text_tokens: int = 24
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 2:
-            raise ValidationError("steps >= 1 and batch_size >= 2 required")
-        if self.lambda_res < 0 or self.tau <= 0:
-            raise ValidationError("lambda_res >= 0 and tau > 0 required")
+        if self.steps < 1 or self.batch_size < 2 or self.max_text_tokens < 1:
+            raise ValidationError("steps >= 1, batch_size >= 2 and max_text_tokens >= 1 required")
+        if self.lambda_res < 0 or self.tau <= 0 or self.lr <= 0:
+            raise ValidationError("lambda_res >= 0, tau > 0 and lr > 0 required")
 
 
 def _normalize_rows(x: np.ndarray):

@@ -290,14 +290,85 @@ def test_label_efficiency_seed_reaches_teacher(tmp_path, cohort_dir):
         seed=3,
     )
     want = tmp_path / "want.csv"
-    write_rows_csv(want, rows, ["fraction", "teacher_r3", "student_r3", "ratio", "student_kl"])
+    write_rows_csv(want, rows)
     assert (out / "label_efficiency.csv").read_bytes() == want.read_bytes()
+
+
+def _log_cells(path: Path) -> tuple[str, list[list[str]]]:
+    header, *lines = path.read_text().splitlines()
+    return header, [line.split(",") for line in lines]
+
+
+@pytest.mark.parametrize("epochs, decoder_epochs", [(3, 1), (1, 3)])
+def test_grounding_log_csv(tmp_path, cohort_dir, capsys, epochs, decoder_epochs):
+    cfg = tmp_path / "sea.json"
+    cfg.write_text(json.dumps(
+        {"grounder": {"epochs": epochs, "decoder_epochs": decoder_epochs, "decoder_layers": 1}}
+    ))
+    out = tmp_path / "sea"
+    argv = ["train-sea", "--cohort", str(cohort_dir), "--out", str(out), "--config", str(cfg)]
+    assert cli_main(argv) == 0
+    header, cells = _log_cells(out / "grounding_log.csv")
+    assert header == "epoch,l_se,l_mask"
+    n = max(epochs, decoder_epochs)
+    assert [c[0] for c in cells] == [str(i) for i in range(n)]
+    # a curve shorter than the other leaves its cells blank
+    assert [c[1] == "" for c in cells] == [i >= epochs for i in range(n)]
+    assert [c[2] == "" for c in cells] == [i >= decoder_epochs for i in range(n)]
+    first, last = float(cells[0][1]), float(cells[epochs - 1][1])
+    assert capsys.readouterr().out.splitlines()[-1] == f"l_se {first:.4f} -> {last:.4f}"
+
+
+def test_distill_log_csv(tmp_path, cohort_dir, capsys):
+    cfg = tmp_path / "distill.json"
+    cfg.write_text(json.dumps(
+        {"grounder": {"epochs": 1, "train_decoder": False}, "distill": {"epochs": 3}}
+    ))
+    sea, out = tmp_path / "sea", tmp_path / "distill"
+    common = ["--cohort", str(cohort_dir), "--config", str(cfg)]
+    assert cli_main(["train-sea", "--out", str(sea), *common]) == 0
+    assert cli_main(["distill", "--teacher", str(sea), "--out", str(out), *common]) == 0
+    header, cells = _log_cells(out / "distill_log.csv")
+    assert header == "epoch,loss"
+    assert [c[0] for c in cells] == ["0", "1", "2"]
+    losses = [float(c[1]) for c in cells]
+    assert all(math.isfinite(v) and v >= 0.0 for v in losses)
+    assert (
+        capsys.readouterr().out.splitlines()[-1]
+        == f"distill loss {losses[0]:.6f} -> {losses[-1]:.6f}"
+    )
 
 
 def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("distill", "distill", "epochs", 0),
+        ("distill", "distill", "lr", -1.0),
+        ("distill", "distill", "lambda_kl", -1.0),
+        ("pretrain", "pretrain", "max_text_tokens", 0),
+        ("pretrain", "pretrain", "max_text_tokens", -1),
+        ("pretrain", "pretrain", "lr", 0.0),
+        ("pretrain", "pretrain", "lr", -1.0),
+        ("train-sea", "grounder", "decoder_lr", 0.0),
+        ("train-sea", "grounder", "decoder_lr", -1.0),
+    ],
+)
+def test_config_out_of_range_exits_1(tmp_path, cohort_dir, capsys, command, section, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    # the config is checked before the teacher directory is read
+    teacher = ["--teacher", str(tmp_path / "none")] if command == "distill" else []
+    out = tmp_path / "o"
+    argv = [command, "--cohort", str(cohort_dir), "--out", str(out), *teacher]
+    assert cli_main(argv + ["--config", str(cfg)]) == 1
+    assert key in _one_line_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section", ["cohort", "grounder", "distill", "rft", "pretrain"])

@@ -85,6 +85,10 @@ class TestDistillLoss:
         assert cfg.distill_temperature == 2.0
         assert cfg.lambda_kl == 1.0
 
+    def test_zero_lr_constructs(self):
+        # lr = 0 keeps the student at its initial weights (see TestTrainStudent)
+        assert distill.DistillConfig(lr=0.0).lr == 0.0
+
 
 @pytest.fixture(scope="module")
 def teacher(small_cohort):
@@ -111,12 +115,13 @@ class TestTrainStudent:
 
     def test_student_at_teacher_weights_starts_at_zero_loss(self, teacher, train_reports):
         cfg = distill.DistillConfig(epochs=1, lr=0.0, init_from_teacher=True)
-        _, curve = distill.train_student(train_reports, teacher, cfg, seed=0)
-        assert curve[0] <= 1e-9
+        _, rows = distill.train_student(train_reports, teacher, cfg, seed=0)
+        assert rows[0]["loss"] <= 1e-9
 
     def test_loss_strictly_decreases_over_first_epochs_smoothed(self, teacher, train_reports):
         cfg = distill.DistillConfig(epochs=12, lr=0.5)
-        _, curve = distill.train_student(train_reports, teacher, cfg, seed=1)
+        _, rows = distill.train_student(train_reports, teacher, cfg, seed=1)
+        curve = [row["loss"] for row in rows]
         smoothed = np.convolve(curve, np.ones(3) / 3, mode="valid")[:10]
         for a, b in zip(smoothed, smoothed[1:]):
             assert b < a

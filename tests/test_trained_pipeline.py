@@ -16,13 +16,13 @@ def test_heldout_r_at_1(default_cohort, trained_sea):
 def test_training_loss_decreases(default_cohort):
     from eviground.grounding import GrounderConfig, train_grounding
 
-    _, _, history = train_grounding(
+    _, _, rows = train_grounding(
         default_cohort,
         GrounderConfig(epochs=6, train_decoder=False),
         patient_ids=default_cohort.split["train"][:20],
         seed=1,
     )
-    curve = history["l_se"]
+    curve = [row["l_se"] for row in rows]
     assert curve[-1] < curve[0]
     smoothed = np.convolve(curve, np.ones(3) / 3, mode="valid")
     assert all(b <= a + 1e-3 for a, b in zip(smoothed, smoothed[1:]))
@@ -33,9 +33,9 @@ def test_lambda_mask_zero_leaves_decoder_untouched(small_cohort):
     from eviground.segdecoder import SegDecoder, SegDecoderConfig
 
     cfg = GrounderConfig(epochs=2, lambda_mask=0.0, train_decoder=True)
-    _, dec, history = train_grounding(small_cohort, cfg, seed=5)
+    _, dec, rows = train_grounding(small_cohort, cfg, seed=5)
     fresh = SegDecoder(SegDecoderConfig(seed=5))
-    assert history["l_mask"] == []
+    assert [row["l_mask"] for row in rows] == ["", ""]
     for key, value in fresh.params.items():
         np.testing.assert_array_equal(dec.params[key], value)
 
