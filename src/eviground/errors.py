@@ -14,7 +14,7 @@ class DimMismatchError(ValidationError):
 
 
 class ZeroNormError(ValidationError):
-    """A vector with (near-)zero norm reached a cosine similarity."""
+    """A pooled text vector has (near-)zero norm, so it has no direction."""
 
 
 class IndexOutOfRangeError(ValidationError):

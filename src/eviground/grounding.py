@@ -5,18 +5,23 @@ Implements the multi-positive InfoNCE objective in both directions
 averaged over positives per anchor and over anchors per direction, with
 analytic gradients for the embedder head. Negatives are all in-batch
 non-positives; only the paired positive appears in its own denominator.
+
+A batch's gold links are one ``(n_sentences, n_evidences)`` bool mask
+(``GroundingBatch.positive_mask``); each direction is one masked array
+expression over it, the evidence->sentence one on the transposes. Every
+logit, in training, ranking and distillation alike, is the product of
+L2-normalized vectors over tau, ``v_s @ v_e.T / tau``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
 
 from .errors import EmptyEvidenceError, NoPositiveError, ValidationError
-from .losses import LossWithGrad, cosine_similarity
+from .losses import LossWithGrad
 from .records import EvidenceItem
 
 
@@ -32,56 +37,46 @@ class GroundingBatch:
             if not (0 <= si < len(self.sentences) and 0 <= ei < len(self.evidences)):
                 raise ValidationError(f"positive pair ({si}, {ei}) out of range")
 
-    def positives_of_sentence(self, si: int) -> list[int]:
-        return sorted(ei for s, ei in self.positive_pairs if s == si)
+    def positive_mask(self) -> np.ndarray:
+        """``(n_sentences, n_evidences)`` bool array, True at each positive pair."""
+        mask = np.zeros((len(self.sentences), len(self.evidences)), dtype=bool)
+        for si, ei in self.positive_pairs:
+            mask[si, ei] = True
+        return mask
 
-    def positives_of_evidence(self, ei: int) -> list[int]:
-        return sorted(si for si, e in self.positive_pairs if e == ei)
 
-
-def _directional_terms(kap: np.ndarray, positives: list[list[int]], tau: float):
+def _directional_terms(kap: np.ndarray, pos: np.ndarray, tau: float):
     """Anchor-averaged NLL terms for one direction plus d(loss)/d(similarity).
 
-    ``kap`` is (n_anchors, n_candidates) of exp(sim/tau); row i's negatives
-    are the non-positive columns.
+    ``kap`` is (n_anchors, n_candidates) of exp(sim/tau) and ``pos`` the bool
+    mask of each anchor's positives; the other columns are its negatives.
     """
-    n_anchors, n_cands = kap.shape
-    grad = np.zeros_like(kap)
-    total = 0.0
-    for i in range(n_anchors):
-        pos = positives[i]
-        if not pos:
-            raise NoPositiveError(f"anchor {i} has no positive pair")
-        pos_set = set(pos)
-        neg = [j for j in range(n_cands) if j not in pos_set]
-        row, grow = kap[i], grad[i]
-        neg_sum = float(row[neg].sum()) if neg else 0.0
-        inv_npos = 1.0 / len(pos)
-        for j in pos:
-            denom = row[j] + neg_sum
-            total += -math.log(row[j] / denom) * inv_npos
-            # d(-log(k_ij / D)) / d sim: (k_ij/D - 1)/tau for the positive,
-            # k_ik/(D*tau) for each negative (elementwise, as a loop over k would)
-            grow[j] += (row[j] / denom - 1.0) / tau * inv_npos
-            grow[neg] += row[neg] / (denom * tau) * inv_npos
-    return total / n_anchors, grad / n_anchors
+    n = kap.shape[0]
+    n_pos = pos.sum(axis=1, keepdims=True)
+    if not n_pos.all():
+        raise NoPositiveError(f"anchor {int(np.argmin(n_pos))} has no positive pair")
+    neg = np.where(pos, 0.0, kap)
+    denom = kap + neg.sum(axis=1, keepdims=True)  # meaningful only where pos holds
+    w = pos / n_pos
+    ratio = kap / denom
+    loss = -(w * np.log(np.where(pos, ratio, 1.0))).sum() / n
+    # d(-log(k_ij / D_ij)) / d sim: (k_ij/D_ij - 1)/tau at the positive j,
+    # k_ik/(D_ij*tau) at every negative k
+    grad = (w * (ratio - 1.0) + neg * (w / denom).sum(axis=1, keepdims=True)) / (tau * n)
+    return float(loss), grad
 
 
 def infonce_from_features(
-    feat_s: np.ndarray,
-    feat_e: np.ndarray,
-    pos_by_sentence: list[list[int]],
-    pos_by_evidence: list[list[int]],
-    emb,
-    tau: float,
+    feat_s: np.ndarray, feat_e: np.ndarray, pos: np.ndarray, emb, tau: float
 ) -> LossWithGrad:
-    """Feature-level core of the loss; lets trainers reuse cached features."""
+    """Feature-level core of the loss; lets trainers reuse cached features
+    and the batch's positive mask."""
     v_s, cache_s = emb.encode_features(feat_s)
     v_e, cache_e = emb.encode_features(feat_e)
     kap = np.exp(v_s @ v_e.T / tau)
 
-    loss_se, grad_se = _directional_terms(kap, pos_by_sentence, tau)
-    loss_es, grad_es = _directional_terms(kap.T, pos_by_evidence, tau)
+    loss_se, grad_se = _directional_terms(kap, pos, tau)
+    loss_es, grad_es = _directional_terms(kap.T, pos.T, tau)
 
     g_sim = grad_se + grad_es.T  # d(loss)/d(sim matrix)
     grad = emb.backward_texts(cache_s, g_sim @ v_e) + emb.backward_texts(cache_e, g_sim.T @ v_s)
@@ -90,30 +85,27 @@ def infonce_from_features(
 
 def multi_positive_infonce(batch: GroundingBatch, emb, tau: float = 0.07) -> LossWithGrad:
     """Sum of the two directional anchor means, with head gradients."""
-    n_s, n_e = len(batch.sentences), len(batch.evidences)
-    if max(n_s, n_e) < 2:
+    if max(len(batch.sentences), len(batch.evidences)) < 2:
         raise ValidationError("batch needs at least two items on one side")
     return infonce_from_features(
         emb.features_of_texts(batch.sentences),
         emb.features_of_texts([e.descriptor for e in batch.evidences]),
-        [batch.positives_of_sentence(i) for i in range(n_s)],
-        [batch.positives_of_evidence(j) for j in range(n_e)],
+        batch.positive_mask(),
         emb,
         tau,
     )
 
 
 def grounding_logits(sentence: str, evidences: list[EvidenceItem], emb, tau: float) -> np.ndarray:
-    """Cosine/tau logits used by both retrieval ranking and distillation.
+    """``v_e @ v_s / tau`` over unit text vectors, the product the trainers
+    use; ranking and distillation both read it.
 
     ``emb`` needs only ``embed_text``, so a :class:`~eviground.textenc.FrozenTexts`
     memo serves as well as an embedder."""
     if not evidences:
         raise EmptyEvidenceError("no candidate evidences")
-    s_vec = emb.embed_text(sentence)
-    return np.array(
-        [cosine_similarity(s_vec, emb.embed_text(e.descriptor)) / tau for e in evidences]
-    )
+    v_e = np.stack([emb.embed_text(e.descriptor) for e in evidences])
+    return v_e @ emb.embed_text(sentence) / tau
 
 
 @dataclass
@@ -134,6 +126,8 @@ class GrounderConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.tau <= 0 or self.lr <= 0 or self.decoder_lr <= 0:
             raise ValidationError("epochs >= 1, tau > 0, lr > 0, decoder_lr > 0 required")
+        if self.decoder_epochs < 1 or self.decoder_layers < 1:
+            raise ValidationError("decoder_epochs >= 1 and decoder_layers >= 1 required")
         if min(self.lambda_mask, self.lambda_dice, self.lambda_bce) < 0:
             raise ValidationError("loss weights must be nonnegative")
 
@@ -180,8 +174,7 @@ def train_grounding(
             (
                 emb.features_of_texts(batch.sentences),
                 emb.features_of_texts([e.descriptor for e in batch.evidences]),
-                [batch.positives_of_sentence(i) for i in range(len(batch.sentences))],
-                [batch.positives_of_evidence(j) for j in range(len(batch.evidences))],
+                batch.positive_mask(),
             )
         )
 
@@ -190,8 +183,7 @@ def train_grounding(
     for _ in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(prepared)):
-            feat_s, feat_e, pos_s, pos_e = prepared[idx]
-            loss = infonce_from_features(feat_s, feat_e, pos_s, pos_e, emb, cfg.tau)
+            loss = infonce_from_features(*prepared[idx], emb, cfg.tau)
             total += loss.value
             emb.flat -= cfg.lr * loss.grads["flat"]
         se_curve.append(total / len(prepared))

@@ -8,18 +8,16 @@ All arithmetic is double precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimMismatchError, IndexOutOfRangeError, ZeroNormError
+from .errors import DimMismatchError, IndexOutOfRangeError
 from .tensorio import assert_same_shape
 
 PROB_FLOOR = 1e-9
 DICE_SMOOTHING = 1e-5
-ZERO_NORM_TOL = 1e-12
 
 
 @dataclass
@@ -28,20 +26,6 @@ class LossWithGrad:
 
     value: float
     grads: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    # np.linalg.norm of a 1-D vector is sqrt(a.dot(a)); min/max clip a scalar
-    # as np.clip does, NaN included
-    na = math.sqrt(a.dot(a))
-    nb = math.sqrt(b.dot(b))
-    if na < ZERO_NORM_TOL or nb < ZERO_NORM_TOL:
-        raise ZeroNormError("degenerate embedding: vector norm below 1e-12")
-    return float(min(max(a.dot(b) / (na * nb), -1.0), 1.0))
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:

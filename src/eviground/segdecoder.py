@@ -26,9 +26,9 @@ stacked for every projection, layer norm and FFN, so weight gradients sum
 over the batch; attention runs within each sample. Evidence sequences of
 different lengths are zero-padded to the batch maximum (``pad_evidence``),
 and ``evidence_lengths`` puts ``-inf`` on the padded score columns, so padded
-tokens get zero attention and exactly zero gradient. ``train_mask_decoder``
-takes one Adam step per ``BATCH_SIZE`` (4) shuffled samples on the batch
-mean of the per-sample loss.
+tokens get zero attention and add nothing to any gradient.
+``train_mask_decoder`` takes one Adam step per ``BATCH_SIZE`` (4) shuffled
+samples on the batch mean of the per-sample loss.
 """
 
 from __future__ import annotations
@@ -175,7 +175,10 @@ def _attention_forward(q_in, kv_in, wq, wk, wv, wo, batch, bias=None):
     return out, cache
 
 
-def _attention_backward(dout, cache, wq, wk, wv, wo):
+def _attention_backward(dout, cache, wq, wk, wv, wo, self_attention):
+    """Gradients of the query input and of the four weights. In
+    self-attention the keys and values read the query input too, so their
+    path adds into its gradient; cross-attention's evidence tokens get none."""
     q_in, kv_in, q, k, v, att, ctx, scale = cache
     batch, _, d = q.shape
     dwo = ctx.T @ dout
@@ -191,14 +194,15 @@ def _attention_backward(dout, cache, wq, wk, wv, wo):
     dk = (dscores.transpose(0, 2, 1) @ q).reshape(-1, d)
     dk *= scale
     dq_in = dq @ wq.T
-    dkv_in = dk @ wk.T + dv @ wv.T
+    if self_attention:
+        dq_in += dk @ wk.T + dv @ wv.T
     grads = {
         "wq": q_in.T @ dq,
         "wk": kv_in.T @ dk,
         "wv": kv_in.T @ dv,
         "wo": dwo,
     }
-    return dq_in, dkv_in, grads
+    return dq_in, grads
 
 
 _ATTENTION_KEYS = ("sa_wq", "sa_wk", "sa_wv", "sa_wo", "ca_wq", "ca_wk", "ca_wv", "ca_wo")
@@ -335,17 +339,14 @@ class SegDecoder:
         x_norm, lnf_cache = _layernorm_forward(x, p["lnf_g"], p["lnf_b"])
         patch_logits = (x_norm @ p["head_w"] + p["head_b"]).reshape(batch, c.n_patches, -1)
         logits = unpatchify(patch_logits, c.patch, c.volume_dim)
-        cache = (
-            evidence_tokens.shape, single, layer_caches, x_norm, lnf_cache, zero_cross_attention
-        )
+        cache = (layer_caches, x_norm, lnf_cache, zero_cross_attention)
         return (logits[0] if single else logits), cache
 
     def backward(self, dlogits: np.ndarray, cache):
         """Gradient of every trainable param, summed over the batch, as one
-        vector laid out like ``flat`` (``views`` names its parts), and of the
-        evidence tokens, shaped as ``forward`` got them (zero on padding)."""
+        vector laid out like ``flat`` (``views`` names its parts)."""
         c = self.cfg
-        ev_shape, single, layer_caches, x_norm, lnf_cache, zero_cross = cache
+        layer_caches, x_norm, lnf_cache, zero_cross = cache
         p = self.params
         gflat = np.zeros_like(self.flat)
         grads = self.views(gflat)
@@ -355,7 +356,6 @@ class SegDecoder:
         dx, dgf, dbf = _layernorm_backward(dpatch @ p["head_w"].T, lnf_cache)
         grads["lnf_g"][...] = dgf
         grads["lnf_b"][...] = dbf
-        dt = np.zeros((ev_shape[0] * ev_shape[1], c.token_dim))
         for i in reversed(range(c.layers)):
             pre = f"l{i}."
             ln1_cache, sa_cache, ln2_cache, ca_cache, ln3_cache, ff_cache = layer_caches[i]
@@ -375,31 +375,31 @@ class SegDecoder:
 
             # x_out = x + CrossAttn(LN2(x), t)
             if not zero_cross:
-                dq_in, dkv_in, att_grads = _attention_backward(
+                dq_in, att_grads = _attention_backward(
                     dx, ca_cache,
                     p[pre + "ca_wq"], p[pre + "ca_wk"], p[pre + "ca_wv"], p[pre + "ca_wo"],
+                    self_attention=False,
                 )
                 for name, g in att_grads.items():
                     grads[pre + "ca_" + name] += g
-                dt += dkv_in
                 dc_in, dg2, db2 = _layernorm_backward(dq_in, ln2_cache)
                 grads[pre + "ln2_g"] += dg2
                 grads[pre + "ln2_b"] += db2
                 dx += dc_in
 
             # x_out = x + SelfAttn(LN1(x))
-            dq_in, dkv_in, att_grads = _attention_backward(
+            dq_in, att_grads = _attention_backward(
                 dx, sa_cache,
                 p[pre + "sa_wq"], p[pre + "sa_wk"], p[pre + "sa_wv"], p[pre + "sa_wo"],
+                self_attention=True,
             )
             for name, g in att_grads.items():
                 grads[pre + "sa_" + name] += g
-            dq_in += dkv_in
             da_in, dg1, db1 = _layernorm_backward(dq_in, ln1_cache)
             grads[pre + "ln1_g"] += dg1
             grads[pre + "ln1_b"] += db1
             dx += da_in
-        return gflat, dt.reshape(ev_shape[1:] if single else ev_shape)
+        return gflat
 
     # --- checkpoints ------------------------------------------------------------
 
@@ -533,6 +533,6 @@ def _train_step(dec, opt, batch, lambda_mask, lambda_dice, lambda_bce) -> float:
     gt = np.stack([sample[2] for sample in batch]).astype(np.float64)
     logits, cache = dec.forward(tokens, evidence, evidence_lengths=lengths)
     loss = dice_bce_loss(logits, gt, lambda_dice, lambda_bce)
-    grads, _ = dec.backward(lambda_mask * loss.grads["pred_logits"], cache)
+    grads = dec.backward(lambda_mask * loss.grads["pred_logits"], cache)
     opt.step(dec.flat, grads)
     return lambda_mask * loss.value * len(batch)

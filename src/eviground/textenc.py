@@ -17,9 +17,11 @@ from types import MappingProxyType
 import numpy as np
 
 from . import tensorio
-from .errors import EmptyTextError, ValidationError
+from .errors import EmptyTextError, ValidationError, ZeroNormError
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+# a pooled text vector shorter than this has no direction to normalize
+ZERO_NORM_TOL = 1e-12
 
 
 def tokenize(text: str) -> list[str]:
@@ -103,7 +105,10 @@ class Embedder:
         """Mean-pooled, L2-normalized sentence vector."""
         vecs = self.embed_tokens(tokenize(text))
         pooled = vecs.mean(axis=0)
-        return pooled / np.linalg.norm(pooled)
+        norm = np.linalg.norm(pooled)
+        if norm < ZERO_NORM_TOL:
+            raise ZeroNormError(f"degenerate embedding of {text!r}: pooled norm below 1e-12")
+        return pooled / norm
 
     def features_of_texts(self, texts: list[str]) -> np.ndarray:
         """Head-independent mean token features, safe to precompute and reuse."""

@@ -357,6 +357,9 @@ def _one_line_error(capsys) -> str:
         ("pretrain", "pretrain", "lr", -1.0),
         ("train-sea", "grounder", "decoder_lr", 0.0),
         ("train-sea", "grounder", "decoder_lr", -1.0),
+        ("train-sea", "grounder", "decoder_epochs", 0),
+        ("train-sea", "grounder", "decoder_epochs", -1),
+        ("train-sea", "grounder", "decoder_layers", 0),
     ],
 )
 def test_config_out_of_range_exits_1(tmp_path, cohort_dir, capsys, command, section, key, value):
@@ -613,6 +616,16 @@ def test_embedder_manifest_negative_dim_exits_1(tmp_path, cohort_dir, sea_checkp
     manifest_path.write_text(json.dumps(manifest))
     err = _eval_grounding_error(cohort_dir, sea_checkpoint, tmp_path / "eval", capsys)
     assert "base_dim" in err
+
+
+def test_zero_embedder_head_exits_1(tmp_path, cohort_dir, sea_checkpoint, capsys):
+    """A head of zeros pools every text to the zero vector, which has no
+    direction to rank by."""
+    emb = Embedder()
+    emb.flat[...] = 0.0
+    emb.save(sea_checkpoint / "embedder")
+    err = _eval_grounding_error(cohort_dir, sea_checkpoint, tmp_path / "eval", capsys)
+    assert "norm below 1e-12" in err
 
 
 @_SEA_TENSORS

@@ -157,11 +157,11 @@ class TestMultiPositiveInfonce:
         assert got == pytest.approx(base, abs=1e-12)
 
     def test_anchor_without_positive_raises(self):
-        batch = grounding.GroundingBatch(
-            ["a", "b"], [_ev(0, "x"), _ev(1, "y")], {(0, 0), (0, 1)}
-        )
-        with pytest.raises(NoPositiveError):
-            grounding.multi_positive_infonce(batch, Embedder(seed=0), tau=1.0)
+        # sentence 1 has no positive (s->e), then evidence 1 has none (e->s)
+        for pairs in ({(0, 0), (0, 1)}, {(0, 0), (1, 0)}):
+            batch = grounding.GroundingBatch(["a", "b"], [_ev(0, "x"), _ev(1, "y")], pairs)
+            with pytest.raises(NoPositiveError):
+                grounding.multi_positive_infonce(batch, Embedder(seed=0), tau=1.0)
 
     def test_gradients_pass_fd(self):
         from eviground.gradcheck import check_infonce
@@ -194,6 +194,25 @@ class TestGroundSentence:
         z_rev = grounding.grounding_logits("memory is low", evs[::-1], emb, 0.07)
         np.testing.assert_allclose(z, z_rev[::-1], atol=1e-12)
 
+    def test_logits_match_per_pair_cosine(self, small_cohort):
+        """The one product against the per-pair cosine it replaced, which
+        normalized each already unit vector again and clipped to [-1, 1]."""
+        from eviground.grounding import GrounderConfig, train_grounding
+
+        emb, _, _ = train_grounding(
+            small_cohort, GrounderConfig(epochs=2, train_decoder=False), seed=0
+        )
+        for row in small_cohort.rows_for("test"):
+            evs = small_cohort.records[row.patient_id].evidence
+            s_vec = emb.embed_text(row.sentence)
+            want = []
+            for e in evs:
+                e_vec = emb.embed_text(e.descriptor)
+                cos = s_vec.dot(e_vec) / (np.linalg.norm(s_vec) * np.linalg.norm(e_vec))
+                want.append(float(np.clip(cos, -1.0, 1.0)) / 0.07)
+            got = grounding.grounding_logits(row.sentence, evs, emb, 0.07)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_sums_to_one(self):
         evs = [_ev(j, t) for j, t in enumerate(["memory score", "tau level"])]
         assert self._distribution("anything here", evs, Embedder(seed=1)).sum() == pytest.approx(1.0)
@@ -212,7 +231,8 @@ class TestGroundSentence:
 
 
 def _directional_terms_loop(kap, positives, tau):
-    """The per-element loop that _directional_terms vectorizes, as it was."""
+    """The per-anchor, per-positive loop that _directional_terms replaced,
+    over sorted positive index lists."""
     n_anchors, n_cands = kap.shape
     grad = np.zeros_like(kap)
     total = 0.0
@@ -231,6 +251,8 @@ def _directional_terms_loop(kap, positives, tau):
 
 
 def test_directional_terms_bit_equal_to_loop():
+    """The mask form against the loop, to rtol 1e-12 rather than bit for bit:
+    a masked row sum adds its terms in another order than ``row[neg].sum()``."""
     rng = np.random.default_rng(0)
     for _ in range(200):
         n_anchors, n_cands = (int(x) for x in rng.integers(1, 15, size=2))
@@ -241,8 +263,11 @@ def test_directional_terms_bit_equal_to_loop():
             sorted(int(j) for j in rng.choice(n_cands, size=rng.integers(1, 4), replace=False))
             for _ in range(n_anchors)
         ]
+        pos = np.zeros((n_anchors, n_cands), dtype=bool)
+        for i, row in enumerate(positives):
+            pos[i, row] = True
         for k in (kap, np.ascontiguousarray(kap.T).T):  # contiguous rows and strided rows
-            loss, grad = grounding._directional_terms(k, positives, tau)
+            loss, grad = grounding._directional_terms(k, pos, tau)
             want_loss, want_grad = _directional_terms_loop(k, positives, tau)
-            assert loss == want_loss
-            np.testing.assert_array_equal(grad, want_grad)
+            assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0)

@@ -119,7 +119,7 @@ def test_backward_matches_finite_differences(tiny):
     gt = (np.random.default_rng(2).random((4, 4, 4)) > 0.5).astype(float)
     logits, cache = dec.forward(tokens, evidence)
     lw = losses.dice_bce_loss(logits, gt)
-    grads, dt = dec.backward(lw.grads["pred_logits"], cache)
+    grads = dec.backward(lw.grads["pred_logits"], cache)
     assert grads.shape == dec.flat.shape
 
     # every trainable entry; absolute agreement, since relative error is
@@ -136,15 +136,10 @@ def test_backward_matches_finite_differences(tiny):
         fd = (fp - fm) / (2 * h)
         assert fd == pytest.approx(grads[i], rel=1e-3, abs=1e-8), f"flat entry {i}"
 
-    def f_ev(x):
-        return losses.dice_bce_loss(dec.forward(tokens, x)[0], gt).value
-
-    assert losses.finite_difference_check(f_ev, evidence.copy(), dt) < 1e-4
-
 
 def test_batched_backward_matches_finite_differences(tiny):
     """Batch of two with evidence lengths 3 and 5: the weight gradient sums
-    over the batch, and padded evidence rows get exactly zero gradient."""
+    over the batch."""
     dec, _, _ = tiny
     rng = np.random.default_rng(11)
     tokens = np.stack([dec.volume_to_tokens(rng.normal(size=(4, 4, 4))) for _ in range(2)])
@@ -157,9 +152,7 @@ def test_batched_backward_matches_finite_differences(tiny):
 
     logits, cache = dec.forward(tokens, evidence, evidence_lengths=lengths)
     lw = losses.dice_bce_loss(logits, gt)
-    grads, dt = dec.backward(lw.grads["pred_logits"], cache)
-    assert dt.shape == evidence.shape
-    assert np.all(dt[0, 3:] == 0.0) and np.any(dt[0, :3] != 0.0)
+    grads = dec.backward(lw.grads["pred_logits"], cache)
 
     h = 1e-5
     flat = dec.flat
@@ -172,8 +165,6 @@ def test_batched_backward_matches_finite_differences(tiny):
         flat[i] = orig
         fd = (fp - fm) / (2 * h)
         assert fd == pytest.approx(grads[i], rel=1e-3, abs=1e-8), f"flat entry {i}"
-
-    assert losses.finite_difference_check(loss_of, evidence.copy(), dt) < 1e-4
 
 
 def test_flat_adam_matches_per_tensor_formula(tiny):
@@ -235,7 +226,7 @@ def test_batch_of_one_is_the_per_sample_loop(tiny):
             tokens, ev, mask = samples[idx]
             logits, cache = ref.forward(tokens, ev)
             loss = losses.dice_bce_loss(logits, mask.astype(float))
-            opt.step(ref.flat, ref.backward(loss.grads["pred_logits"], cache)[0])
+            opt.step(ref.flat, ref.backward(loss.grads["pred_logits"], cache))
     got = SegDecoder(dec.cfg)
     train_mask_decoder(got, samples, epochs=3, lr=2e-3, seed=5, batch_size=1)
     np.testing.assert_array_equal(got.flat, ref.flat)

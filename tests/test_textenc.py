@@ -116,8 +116,7 @@ class TestEmbedder:
         args = (
             emb.features_of_texts(sentences),
             emb.features_of_texts([e.descriptor for e in evidences]),
-            [batch.positives_of_sentence(i) for i in range(3)],
-            [batch.positives_of_evidence(j) for j in range(3)],
+            batch.positive_mask(),
         )
         # reference: loose per-tensor weights stepped one tensor at a time
         head_w, head_b = emb.params["head_w"].copy(), emb.params["head_b"].copy()
@@ -188,6 +187,12 @@ class TestFastPaths:
                 [(cache.mean_features.T @ d_pooled).ravel(), np.sum(d_pooled, axis=0)]
             )
             np.testing.assert_array_equal(emb.backward_texts(cache, d_unit), want)
+
+    def test_embed_text_bit_equal_to_norm_form(self):
+        emb = textenc.Embedder(seed=8)
+        for text in ("memory", "tau level high", "hippocampal volume 4,724 mm3 low"):
+            pooled = emb.embed_tokens(textenc.tokenize(text)).mean(axis=0)
+            np.testing.assert_array_equal(emb.embed_text(text), pooled / np.linalg.norm(pooled))
 
     def test_token_features_equal_to_stacked_rows(self):
         emb = textenc.Embedder(seed=6)
