@@ -150,8 +150,8 @@ def train_grounding(
     decoder on (volume tokens, evidence tokens, mask) triples.
 
     Returns (embedder, decoder-or-None, rows): one log row per epoch of
-    ``epoch, l_se, l_mask`` (contrastive and mask loss), "" where one curve
-    is shorter than the other.
+    ``epoch, l_se, l_mask, g_mask`` (contrastive loss, mask loss and mean
+    decoder gradient norm), "" where one curve is shorter than the other.
     """
     from .textenc import Embedder, tokenize
     from .segdecoder import SegDecoder, SegDecoderConfig, train_mask_decoder
@@ -189,7 +189,7 @@ def train_grounding(
         se_curve.append(total / len(prepared))
 
     decoder = None
-    mask_curve: list[float] = []
+    mask_rows: list[dict] = []
     if cfg.train_decoder:
         dec_cfg = SegDecoderConfig(
             volume_dim=cohort.volume(ids[0]).shape[0],
@@ -210,7 +210,7 @@ def train_grounding(
                     # binary 0/1 masks kept as bool; each batch casts back exactly
                     mask = cohort.mask(pid, item.anatomy_ref).astype(bool)
                     samples.append((tokens, ev_tokens, mask))
-        mask_curve = train_mask_decoder(
+        mask_rows = train_mask_decoder(
             decoder,
             samples,
             epochs=cfg.decoder_epochs,
@@ -220,5 +220,8 @@ def train_grounding(
             lambda_bce=cfg.lambda_bce,
             seed=seed,
         )
-    curves = zip_longest(se_curve, mask_curve, fillvalue="")
-    return emb, decoder, [{"epoch": i, "l_se": s, "l_mask": m} for i, (s, m) in enumerate(curves)]
+    blank = {"l_mask": "", "g_mask": ""}
+    curves = zip_longest(se_curve, mask_rows, fillvalue="")
+    return emb, decoder, [
+        {"epoch": i, "l_se": s, **(m or blank)} for i, (s, m) in enumerate(curves)
+    ]

@@ -29,11 +29,21 @@ and ``evidence_lengths`` puts ``-inf`` on the padded score columns, so padded
 tokens get zero attention and add nothing to any gradient.
 ``train_mask_decoder`` takes one Adam step per ``BATCH_SIZE`` (4) shuffled
 samples on the batch mean of the per-sample loss.
+
+Precision (mixed-precision training, Micikevicius et al., ICLR 2018): the
+master weights ``flat``, the gradient vector and the ``Adam`` moments are
+float64. ``forward`` computes in the dtype of its visual tokens. Training
+stacks them as float32, so each step runs on one float32 copy of ``flat``,
+and ``backward`` writes its float32 blocks into the float64 gradient.
+Evaluation (``decode_mask``) and the finite-difference checks pass float64
+tokens and run on ``flat`` itself in float64.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -123,17 +133,36 @@ def _axis_positional_encoding(m: int, token_dim: int) -> np.ndarray:
     return pe
 
 
-# The kernels below update their fresh temporaries in place; each element
-# still sees the same operations in the same order, so a batch of one rounds
-# exactly as the single-sample formulas do.
+# Row and column sums are products with a ones vector: one BLAS call takes
+# about 2 us on the decoder's (256, 32) rows where ``ufunc.reduce`` takes 7-10.
+
+
+@functools.lru_cache(maxsize=64)
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    ones = np.ones(n, dtype)
+    ones.setflags(write=False)
+    return ones
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, kept as a trailing axis of one."""
+    return (a @ _ones(a.shape[-1], a.dtype))[..., None]
+
+
+def _col_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of a 2-D array over its rows."""
+    return _ones(a.shape[0], a.dtype) @ a
+
+
+# The kernels below update their fresh temporaries in place; a batch of one
+# runs the same operations on the same shapes as the single-sample formulas,
+# so it rounds exactly as they do.
 
 
 def _layernorm_forward(x, gamma, beta):
-    # sum(...) / d rounds exactly as np.mean (add.reduce, then a divide by the
-    # count) without its Python-level wrapper; the backward does the same
     d = x.shape[-1]
-    xhat = x - x.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + _LN_EPS)
+    xhat = x - _row_sums(x) / d
+    inv = 1.0 / np.sqrt(_row_sums(xhat * xhat) / d + _LN_EPS)
     xhat *= inv
     y = xhat * gamma
     y += beta
@@ -142,13 +171,13 @@ def _layernorm_forward(x, gamma, beta):
 
 def _layernorm_backward(dy, cache):
     xhat, inv, gamma = cache
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
+    dgamma = _col_sums(dy * xhat)
+    dbeta = _col_sums(dy)
     dxhat = dy * gamma
     d = dxhat.shape[-1]
     # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-    dx = dxhat - dxhat.sum(axis=-1, keepdims=True) / d
-    dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
+    dx = dxhat - _row_sums(dxhat) / d
+    dx -= xhat * (_row_sums(dxhat * xhat) / d)
     dx *= inv
     return dx, dgamma, dbeta
 
@@ -158,7 +187,7 @@ def _attention_forward(q_in, kv_in, wq, wk, wv, wo, batch, bias=None):
     stacked in ``q_in`` and ``kv_in``; ``bias`` (batch, 1, keys) holds -inf on
     padded key columns, or is None when no column is padded."""
     d = q_in.shape[1]
-    scale = 1.0 / np.sqrt(d)
+    scale = 1.0 / math.sqrt(d)  # a Python float keeps float32 products in float32
     q = (q_in @ wq).reshape(batch, -1, d)
     k = (kv_in @ wk).reshape(batch, -1, d)
     v = (kv_in @ wv).reshape(batch, -1, d)
@@ -168,7 +197,7 @@ def _attention_forward(q_in, kv_in, wq, wk, wv, wo, batch, bias=None):
         att += bias
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
+    att /= _row_sums(att)
     ctx = (att @ v).reshape(-1, d)
     out = ctx @ wo
     cache = (q_in, kv_in, q, k, v, att, ctx, scale)
@@ -187,7 +216,7 @@ def _attention_backward(dout, cache, wq, wk, wv, wo, self_attention):
     dv = (att.transpose(0, 2, 1) @ dctx).reshape(-1, d)
     # softmax backward, att * (datt - sum(datt * att)), built in datt's buffer
     dscores = datt
-    dscores -= (datt * att).sum(axis=-1, keepdims=True)
+    dscores -= _row_sums(datt * att)
     dscores *= att
     dq = (dscores @ k).reshape(-1, d)
     dq *= scale
@@ -281,7 +310,11 @@ class SegDecoder:
         ``volume_tokens`` (B, n_patches, d) and ``evidence_tokens`` (B, T, d)
         give (B, D, D, D) logits; 2-D tokens are a batch of one and give one
         (D, D, D) volume. ``evidence_lengths`` (B,) marks evidence rows past
-        each sample's length as padding (default: none is padded)."""
+        each sample's length as padding (default: none is padded).
+
+        Everything is computed in ``volume_tokens.dtype``: float64 tokens use
+        ``flat`` itself, float32 tokens one float32 copy of it, and the
+        evidence tokens are cast to match."""
         c = self.cfg
         single = volume_tokens.ndim == 2
         if volume_tokens.ndim not in (2, 3) or volume_tokens.shape[-2:] != (
@@ -299,6 +332,7 @@ class SegDecoder:
             raise DimMismatchError(
                 f"{volume_tokens.shape[0]} visual token sets for {batch} evidence sequences"
             )
+        dtype = volume_tokens.dtype
         bias = None
         if evidence_lengths is not None:
             lengths = np.asarray(evidence_lengths)
@@ -306,10 +340,11 @@ class SegDecoder:
                 raise ValidationError(f"evidence lengths {lengths} do not fit {n_ev} token rows")
             if lengths.min() < n_ev:
                 padded = np.arange(n_ev) >= lengths[:, None]
-                bias = np.where(padded, -np.inf, 0.0)[:, None, :]
+                bias = np.where(padded, -np.inf, 0.0).astype(dtype, copy=False)[:, None, :]
         x = volume_tokens.reshape(-1, c.token_dim).copy()  # the residual stream, updated in place
-        t = evidence_tokens.reshape(-1, c.token_dim)
-        p = self.params
+        t = evidence_tokens.reshape(-1, c.token_dim).astype(dtype, copy=False)
+        weights = self.flat.astype(dtype, copy=False)
+        p = self.params if weights is self.flat else self.views(weights)
         layer_caches = []
         for i in range(c.layers):
             pre = f"l{i}."
@@ -339,20 +374,22 @@ class SegDecoder:
         x_norm, lnf_cache = _layernorm_forward(x, p["lnf_g"], p["lnf_b"])
         patch_logits = (x_norm @ p["head_w"] + p["head_b"]).reshape(batch, c.n_patches, -1)
         logits = unpatchify(patch_logits, c.patch, c.volume_dim)
-        cache = (layer_caches, x_norm, lnf_cache, zero_cross_attention)
+        cache = (layer_caches, x_norm, lnf_cache, zero_cross_attention, p)
         return (logits[0] if single else logits), cache
 
     def backward(self, dlogits: np.ndarray, cache):
         """Gradient of every trainable param, summed over the batch, as one
-        vector laid out like ``flat`` (``views`` names its parts)."""
+        float64 vector laid out like ``flat`` (``views`` names its parts).
+        It is computed in the dtype of the forward that made ``cache``;
+        ``dlogits`` is cast to it once."""
         c = self.cfg
-        layer_caches, x_norm, lnf_cache, zero_cross = cache
-        p = self.params
+        layer_caches, x_norm, lnf_cache, zero_cross, p = cache
         gflat = np.zeros_like(self.flat)
         grads = self.views(gflat)
+        dlogits = dlogits.astype(x_norm.dtype, copy=False)
         dpatch = patchify(dlogits, c.patch).reshape(-1, c.patch_voxels)
         grads["head_w"][...] = x_norm.T @ dpatch
-        grads["head_b"][...] = dpatch.sum(axis=0)
+        grads["head_b"][...] = _col_sums(dpatch)
         dx, dgf, dbf = _layernorm_backward(dpatch @ p["head_w"].T, lnf_cache)
         grads["lnf_g"][...] = dgf
         grads["lnf_b"][...] = dbf
@@ -363,11 +400,11 @@ class SegDecoder:
             # x_out = x + FFN(LN3(x))
             f_in, h_act = ff_cache
             grads[pre + "ff_w2"] += h_act.T @ dx
-            grads[pre + "ff_b2"] += dx.sum(axis=0)
+            grads[pre + "ff_b2"] += _col_sums(dx)
             dh = dx @ p[pre + "ff_w2"].T
             dh *= h_act > 0  # ReLU passes where its input was positive
             grads[pre + "ff_w1"] += f_in.T @ dh
-            grads[pre + "ff_b1"] += dh.sum(axis=0)
+            grads[pre + "ff_b1"] += _col_sums(dh)
             df_in, dg3, db3 = _layernorm_backward(dh @ p[pre + "ff_w1"].T, ln3_cache)
             grads[pre + "ln3_g"] += dg3
             grads[pre + "ln3_b"] += db3
@@ -483,15 +520,18 @@ def train_mask_decoder(
     lambda_bce: float = 1.0,
     seed: int = 0,
     batch_size: int = BATCH_SIZE,
-) -> list[float]:
+) -> list[dict]:
     """Adam on lambda_mask * (dice + bce) over (tokens, evidence, mask) samples.
 
     Each epoch shuffles the samples and takes one Adam step per
     ``batch_size`` of them (the last batch may be short), ceil(n / batch_size)
     steps in all, on the batch mean of the per-sample loss. A batch's
     evidence sequences are zero-padded to its longest and masked; its masks
-    (bool or float 0/1) are cast to float64 only when it is built. Returns
-    the per-epoch mean sample loss.
+    (bool or float 0/1) are cast to float64 only when it is built. Forward
+    and backward run in float32 on float32 tokens; ``dec.flat``, the Adam
+    moments and the gradient stay float64. Returns one row per epoch:
+    ``l_mask``, the mean sample loss, and ``g_mask``, the mean L2 norm of
+    the flat gradient over the epoch's steps.
     """
     if batch_size < 1:
         raise ValidationError("batch_size must be at least 1")
@@ -500,39 +540,45 @@ def train_mask_decoder(
     _raise_heap_trim_threshold()
     rng = np.random.default_rng(seed)
     opt = Adam(dec.flat, lr)
-    curve = []
+    steps = range(0, len(samples), batch_size)
+    rows = []
     for _ in range(epochs):
         order = rng.permutation(len(samples))
-        total = 0.0
-        for start in range(0, len(order), batch_size):
+        total = grad_norms = 0.0
+        for start in steps:
             batch = [samples[i] for i in order[start : start + batch_size]]
-            total += _train_step(dec, opt, batch, lambda_mask, lambda_dice, lambda_bce)
-        curve.append(total / len(samples))
-    return curve
+            loss, grad_norm = _train_step(dec, opt, batch, lambda_mask, lambda_dice, lambda_bce)
+            total += loss
+            grad_norms += grad_norm
+        rows.append({"l_mask": total / len(samples), "g_mask": grad_norms / len(steps)})
+    return rows
 
 
 def _raise_heap_trim_threshold() -> None:
     """Allocate and free one 8 MiB block, which glibc's malloc serves by mmap.
 
     Freeing it raises glibc's dynamic mmap threshold to 8 MiB and its heap
-    trim threshold to 16 MiB. Each training step at the default config
-    allocates and frees about 6.5 MB of forward cache and temporaries; below
-    that threshold glibc hands the freed top of the heap back to the kernel
-    after every step and faults it in again on the next, which cost about
-    580k minor page faults and 1 s of system time per 10-epoch ``train-sea``
-    on the default cohort. The block is never written, so it adds nothing to
-    the resident set; other allocators just serve and free it."""
+    trim threshold to 16 MiB. Each float32 training step at the default
+    config allocates and frees about 4 MB of forward cache and temporaries
+    (tracemalloc peak of one step); below that threshold glibc hands the
+    freed top of the heap back to the kernel after every step and faults it
+    in again on the next, which costs about 167k minor page faults, 0.3 s of
+    system time and 0.45 s of wall time per 10-epoch ``train-sea`` on the
+    default cohort (2.8k faults with this call). The block is never written,
+    so it adds nothing to the resident set; other allocators just serve and
+    free it."""
     np.empty(8 << 20, dtype=np.uint8)
 
 
-def _train_step(dec, opt, batch, lambda_mask, lambda_dice, lambda_bce) -> float:
-    """One Adam step on one batch; returns the batch's summed sample loss.
-    The forward cache is local, so it is freed before the next batch's forward."""
-    tokens = np.stack([sample[0] for sample in batch])
+def _train_step(dec, opt, batch, lambda_mask, lambda_dice, lambda_bce) -> tuple[float, float]:
+    """One Adam step on one batch, computed in float32; returns the batch's
+    summed sample loss and the L2 norm of its flat gradient. The forward
+    cache is local, so it is freed before the next batch's forward."""
+    tokens = np.stack([sample[0] for sample in batch], dtype=np.float32)
     evidence, lengths = pad_evidence([sample[1] for sample in batch])
     gt = np.stack([sample[2] for sample in batch]).astype(np.float64)
     logits, cache = dec.forward(tokens, evidence, evidence_lengths=lengths)
     loss = dice_bce_loss(logits, gt, lambda_dice, lambda_bce)
     grads = dec.backward(lambda_mask * loss.grads["pred_logits"], cache)
     opt.step(dec.flat, grads)
-    return lambda_mask * loss.value * len(batch)
+    return lambda_mask * loss.value * len(batch), math.sqrt(np.dot(grads, grads))

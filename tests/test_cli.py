@@ -309,12 +309,14 @@ def test_grounding_log_csv(tmp_path, cohort_dir, capsys, epochs, decoder_epochs)
     argv = ["train-sea", "--cohort", str(cohort_dir), "--out", str(out), "--config", str(cfg)]
     assert cli_main(argv) == 0
     header, cells = _log_cells(out / "grounding_log.csv")
-    assert header == "epoch,l_se,l_mask"
+    assert header == "epoch,l_se,l_mask,g_mask"
     n = max(epochs, decoder_epochs)
     assert [c[0] for c in cells] == [str(i) for i in range(n)]
     # a curve shorter than the other leaves its cells blank
     assert [c[1] == "" for c in cells] == [i >= epochs for i in range(n)]
     assert [c[2] == "" for c in cells] == [i >= decoder_epochs for i in range(n)]
+    assert [c[3] == "" for c in cells] == [i >= decoder_epochs for i in range(n)]
+    assert all(float(c[3]) > 0 for c in cells[:decoder_epochs])
     first, last = float(cells[0][1]), float(cells[epochs - 1][1])
     assert capsys.readouterr().out.splitlines()[-1] == f"l_se {first:.4f} -> {last:.4f}"
 

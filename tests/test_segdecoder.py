@@ -198,8 +198,9 @@ def test_training_reduces_loss_single_sample(tiny):
     dec, tokens, evidence = tiny
     gt = np.zeros((4, 4, 4))
     gt[:2] = 1.0
-    curve = train_mask_decoder(dec, [(tokens, evidence, gt)], epochs=200, lr=3e-3)
-    assert curve[-1] < curve[0] * 0.5
+    rows = train_mask_decoder(dec, [(tokens, evidence, gt)], epochs=200, lr=3e-3)
+    assert rows[-1]["l_mask"] < rows[0]["l_mask"] * 0.5
+    assert all(row["g_mask"] > 0 for row in rows)
 
 
 def _samples(dec, n, seed):
@@ -215,7 +216,8 @@ def _samples(dec, n, seed):
 
 
 def test_batch_of_one_is_the_per_sample_loop(tiny):
-    """batch_size=1 takes exactly the steps of a 2-D forward/backward loop."""
+    """batch_size=1 takes exactly the steps of a 2-D forward/backward loop
+    on the float32 tokens the trainer computes with."""
     dec, _, _ = tiny
     samples = _samples(dec, 4, seed=3)
     ref = SegDecoder(dec.cfg)
@@ -224,12 +226,55 @@ def test_batch_of_one_is_the_per_sample_loop(tiny):
     for _ in range(3):
         for idx in rng.permutation(len(samples)):
             tokens, ev, mask = samples[idx]
-            logits, cache = ref.forward(tokens, ev)
+            logits, cache = ref.forward(tokens.astype(np.float32), ev)
             loss = losses.dice_bce_loss(logits, mask.astype(float))
             opt.step(ref.flat, ref.backward(loss.grads["pred_logits"], cache))
     got = SegDecoder(dec.cfg)
     train_mask_decoder(got, samples, epochs=3, lr=2e-3, seed=5, batch_size=1)
     np.testing.assert_array_equal(got.flat, ref.flat)
+
+
+def _flat_gradient(dec, tokens, evidence, gt, lengths=None):
+    logits, cache = dec.forward(tokens, evidence, evidence_lengths=lengths)
+    return dec.backward(losses.dice_bce_loss(logits, gt).grads["pred_logits"], cache)
+
+
+def _default_batch():
+    """Default-config decoder and a batch of four with padded evidence."""
+    dec = SegDecoder(SegDecoderConfig())
+    rng = np.random.default_rng(13)
+    tokens = np.stack([dec.volume_to_tokens(rng.normal(size=(16, 16, 16))) for _ in range(4)])
+    evidence, lengths = pad_evidence([rng.normal(size=(n, 32)) for n in (3, 7, 2, 5)])
+    gt = (rng.random((4, 16, 16, 16)) > 0.7).astype(float)
+    return dec, tokens, evidence, gt, lengths
+
+
+@pytest.mark.parametrize("case", ["tiny", "default_batch_of_four"])
+def test_float32_gradient_matches_float64(tiny, case):
+    if case == "tiny":
+        dec, tokens, evidence = tiny
+        gt = (np.random.default_rng(2).random((4, 4, 4)) > 0.5).astype(float)
+        lengths = None
+    else:
+        dec, tokens, evidence, gt, lengths = _default_batch()
+    g64 = _flat_gradient(dec, tokens, evidence, gt, lengths)
+    g32 = _flat_gradient(dec, tokens.astype(np.float32), evidence, gt, lengths)
+    assert g64.dtype == g32.dtype == np.float64
+    assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
+
+
+def test_training_keeps_float64_master_state(tiny, monkeypatch):
+    dec, tokens, evidence = tiny
+    optimizers, step = [], Adam.step
+    monkeypatch.setattr(
+        Adam, "step", lambda self, p, g: optimizers.append(self) or step(self, p, g)
+    )
+    train_mask_decoder(dec, _samples(dec, 3, seed=8), epochs=2, lr=1e-3, batch_size=2)
+    opt = optimizers[-1]
+    assert dec.flat.dtype == opt.m.dtype == opt.v.dtype == np.float64
+    assert all(view.dtype == np.float64 for view in dec.params.values())
+    assert dec.forward(tokens, evidence)[0].dtype == np.float64
+    assert dec.forward(tokens.astype(np.float32), evidence)[0].dtype == np.float32
 
 
 def test_short_last_batch_trains(tiny, monkeypatch):
@@ -239,10 +284,10 @@ def test_short_last_batch_trains(tiny, monkeypatch):
     step = Adam.step
     monkeypatch.setattr(Adam, "step", lambda self, p, g: steps.append(1) or step(self, p, g))
     before = dec.flat.copy()
-    curve = train_mask_decoder(dec, samples, epochs=40, lr=3e-3, batch_size=2)
+    rows = train_mask_decoder(dec, samples, epochs=40, lr=3e-3, batch_size=2)
     assert len(steps) == 40 * 3  # ceil(5 / 2) steps per epoch, the last on one sample
     assert np.all(np.isfinite(dec.flat)) and not np.array_equal(dec.flat, before)
-    assert curve[-1] < curve[0]
+    assert rows[-1]["l_mask"] < rows[0]["l_mask"]
 
 
 def test_bool_and_float_masks_give_equal_checkpoints(tmp_path, tiny):

@@ -35,7 +35,7 @@ def test_lambda_mask_zero_leaves_decoder_untouched(small_cohort):
     cfg = GrounderConfig(epochs=2, lambda_mask=0.0, train_decoder=True)
     _, dec, rows = train_grounding(small_cohort, cfg, seed=5)
     fresh = SegDecoder(SegDecoderConfig(seed=5))
-    assert [row["l_mask"] for row in rows] == ["", ""]
+    assert [(row["l_mask"], row["g_mask"]) for row in rows] == [("", ""), ("", "")]
     for key, value in fresh.params.items():
         np.testing.assert_array_equal(dec.params[key], value)
 
