@@ -7,7 +7,9 @@ sentences. Teacher outputs are computed once and cached, so they are
 bitwise identical across epochs, and no gradient ever touches teacher
 parameters. The teacher's targets come from one embedding per distinct
 text (its :class:`~eviground.textenc.FrozenTexts` memo), which the held-out
-recall and KL of the teacher reuse.
+recall and KL of the teacher reuse. Each report's targets, and each test
+patient's held-out logits, are one product of its sentences against its
+evidence set.
 """
 
 from __future__ import annotations
@@ -84,12 +86,13 @@ def distill_loss(teacher_p: np.ndarray, student_logits: np.ndarray, tau_d: float
 
 def teacher_evidence_distribution(
     teacher: TeacherGrounder,
-    sentence: str,
+    sentences: list[str],
     evidences,
     tau_d: float,
 ) -> np.ndarray:
-    """tau_d-tempered softmax of the teacher's grounding logits."""
-    logits = grounding_logits(sentence, evidences, teacher.texts, teacher.tau)
+    """tau_d-tempered softmax of the teacher's grounding logits, one
+    ``(n_evidences,)`` row per sentence."""
+    logits = grounding_logits(sentences, evidences, teacher.texts, teacher.tau)
     return softmax(logits, temperature=tau_d)
 
 
@@ -131,11 +134,8 @@ def train_student(
         sentences = parsed.reasoning_sentences
         if not sentences:
             continue
-        q = np.stack(
-            [
-                teacher_evidence_distribution(teacher, s, record.evidence, cfg.distill_temperature)
-                for s in sentences
-            ]
+        q = teacher_evidence_distribution(
+            teacher, sentences, record.evidence, cfg.distill_temperature
         )
         feat_s = student.features_of_texts(sentences)
         feat_e = student.features_of_texts([e.descriptor for e in record.evidence])
@@ -172,17 +172,24 @@ def _held_out(
     """Teacher R@3, student R@3 and the student's mean tau_d^2 *
     KL(teacher || student) over the test split's grounding sentences (the
     reasoning sentences of its generated reports), each against its
-    patient's evidence set; each sentence is scored once per embedder."""
-    r3_teacher, r3_student, kl = [], [], []
+    patient's evidence set; each patient's sentences are scored in one
+    product per embedder."""
+    by_patient: dict[str, list] = {}
     for row in cohort.rows_for("test"):
-        evidence = cohort.records[row.patient_id].evidence
-        gold = set(row.evidence_ids)
-        z_t = grounding_logits(row.sentence, evidence, teacher.texts, teacher.tau)
-        z_s = grounding_logits(row.sentence, evidence, student, teacher.tau)
-        r3_teacher.append(recall_at_k(evidence_ranking(z_t, evidence), gold, 3))
-        r3_student.append(recall_at_k(evidence_ranking(z_s, evidence), gold, 3))
+        by_patient.setdefault(row.patient_id, []).append(row)
+    r3_teacher, r3_student, kl = [], [], []
+    for pid, rows in by_patient.items():
+        evidence = cohort.records[pid].evidence
+        sentences = [row.sentence for row in rows]
+        z_t = grounding_logits(sentences, evidence, teacher.texts, teacher.tau)
+        z_s = grounding_logits(sentences, evidence, student, teacher.tau)
         q = softmax(z_t, temperature=tau_d)
-        kl.append(tau_d * tau_d * kl_divergence(q, softmax(z_s, temperature=tau_d)))
+        p = softmax(z_s, temperature=tau_d)
+        for i, row in enumerate(rows):
+            gold = set(row.evidence_ids)
+            r3_teacher.append(recall_at_k(evidence_ranking(z_t[i], evidence), gold, 3))
+            r3_student.append(recall_at_k(evidence_ranking(z_s[i], evidence), gold, 3))
+            kl.append(tau_d * tau_d * kl_divergence(q[i], p[i]))
     return float(np.mean(r3_teacher)), float(np.mean(r3_student)), float(np.mean(kl))
 
 

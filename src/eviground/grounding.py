@@ -96,16 +96,20 @@ def multi_positive_infonce(batch: GroundingBatch, emb, tau: float = 0.07) -> Los
     )
 
 
-def grounding_logits(sentence: str, evidences: list[EvidenceItem], emb, tau: float) -> np.ndarray:
-    """``v_e @ v_s / tau`` over unit text vectors, the product the trainers
-    use; ranking and distillation both read it.
+def grounding_logits(
+    sentences: list[str], evidences: list[EvidenceItem], emb, tau: float
+) -> np.ndarray:
+    """``(n_sentences, n_evidences)`` logits ``v_s @ v_e.T / tau`` over unit
+    text vectors, the product the trainers use; ranking and distillation
+    both read it.
 
     ``emb`` needs only ``embed_text``, so a :class:`~eviground.textenc.FrozenTexts`
     memo serves as well as an embedder."""
     if not evidences:
         raise EmptyEvidenceError("no candidate evidences")
+    v_s = np.stack([emb.embed_text(s) for s in sentences])
     v_e = np.stack([emb.embed_text(e.descriptor) for e in evidences])
-    return v_e @ emb.embed_text(sentence) / tau
+    return v_s @ v_e.T / tau
 
 
 @dataclass

@@ -54,7 +54,8 @@ def evidence_ranking(logits: np.ndarray, evidence: list[EvidenceItem]) -> list[s
 
 def rank_evidences(sentence: str, record: PatientRecord, emb, tau: float) -> list[str]:
     """Evidence ids of the patient, most similar first; ties keep list order."""
-    return evidence_ranking(grounding_logits(sentence, record.evidence, emb, tau), record.evidence)
+    logits = grounding_logits([sentence], record.evidence, emb, tau)[0]
+    return evidence_ranking(logits, record.evidence)
 
 
 def eval_grounding(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
@@ -66,7 +66,10 @@ class PatientRecord:
             seen.add(item.id)
 
     def to_json(self) -> dict:
-        d = asdict(self)
+        """The fields as a dict, with one new dict per evidence item; the
+        other dict fields are the record's own, not copies."""
+        d = dict(vars(self))
+        d["evidence"] = [dict(vars(e)) for e in self.evidence]
         return d
 
     @classmethod

@@ -174,6 +174,29 @@ class TestLabelEfficiency:
         assert same["student_kl"] == 0.0
         assert other["student_kl"] > 0.0
 
+    def test_held_out_matches_per_sentence_recomputation(self, small_cohort, teacher):
+        """Per-patient products give each test sentence's own R@3 and KL."""
+        from eviground.grounding import grounding_logits
+        from eviground.losses import kl_divergence
+        from eviground.metrics import evidence_ranking, recall_at_k
+        from eviground.textenc import FrozenTexts
+
+        student = FrozenTexts(Embedder(seed=3))
+        tau_d = 2.0
+        r3_t, r3_s, kl = [], [], []
+        for row in small_cohort.rows_for("test"):
+            evidence = small_cohort.records[row.patient_id].evidence
+            gold = set(row.evidence_ids)
+            z_t = grounding_logits([row.sentence], evidence, teacher.texts, teacher.tau)[0]
+            z_s = grounding_logits([row.sentence], evidence, student, teacher.tau)[0]
+            r3_t.append(recall_at_k(evidence_ranking(z_t, evidence), gold, 3))
+            r3_s.append(recall_at_k(evidence_ranking(z_s, evidence), gold, 3))
+            q = softmax(z_t, temperature=tau_d)
+            kl.append(tau_d * tau_d * kl_divergence(q, softmax(z_s, temperature=tau_d)))
+        got = distill._held_out(teacher, student, small_cohort, tau_d)
+        assert got[:2] == (float(np.mean(r3_t)), float(np.mean(r3_s)))
+        assert got[2] == pytest.approx(float(np.mean(kl)), rel=1e-12, abs=0)
+
     def test_embeds_each_text_once_per_embedder(self, small_cohort, monkeypatch):
         seen, owners = [], []
         embed_text = Embedder.embed_text

@@ -177,7 +177,8 @@ class TestGroundSentence:
     def _distribution(sentence, evidences, emb, tau=0.07):
         from eviground.distill import TeacherGrounder, teacher_evidence_distribution
 
-        return teacher_evidence_distribution(TeacherGrounder(emb, tau=tau), sentence, evidences, 1.0)
+        teacher = TeacherGrounder(emb, tau=tau)
+        return teacher_evidence_distribution(teacher, [sentence], evidences, 1.0)[0]
 
     def test_single_candidate(self):
         p = self._distribution("memory", [_ev(0, "memory score")], Embedder(seed=0))
@@ -185,14 +186,14 @@ class TestGroundSentence:
 
     def test_empty_candidates_raise(self):
         with pytest.raises(EmptyEvidenceError):
-            grounding.grounding_logits("memory", [], Embedder(seed=0), 0.07)
+            grounding.grounding_logits(["memory"], [], Embedder(seed=0), 0.07)
 
     def test_permutation_equivariance(self):
         emb = Embedder(seed=1)
         evs = [_ev(j, t) for j, t in enumerate(["memory score", "tau level", "brain volume"])]
-        z = grounding.grounding_logits("memory is low", evs, emb, 0.07)
-        z_rev = grounding.grounding_logits("memory is low", evs[::-1], emb, 0.07)
-        np.testing.assert_allclose(z, z_rev[::-1], atol=1e-12)
+        z = grounding.grounding_logits(["memory is low"], evs, emb, 0.07)
+        z_rev = grounding.grounding_logits(["memory is low"], evs[::-1], emb, 0.07)
+        np.testing.assert_allclose(z, z_rev[:, ::-1], atol=1e-12)
 
     def test_logits_match_per_pair_cosine(self, small_cohort):
         """The one product against the per-pair cosine it replaced, which
@@ -210,8 +211,30 @@ class TestGroundSentence:
                 e_vec = emb.embed_text(e.descriptor)
                 cos = s_vec.dot(e_vec) / (np.linalg.norm(s_vec) * np.linalg.norm(e_vec))
                 want.append(float(np.clip(cos, -1.0, 1.0)) / 0.07)
-            got = grounding.grounding_logits(row.sentence, evs, emb, 0.07)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            got = grounding.grounding_logits([row.sentence], evs, emb, 0.07)
+            np.testing.assert_allclose(got, [want], rtol=1e-12, atol=0)
+
+    def test_rows_match_one_sentence_calls(self, small_cohort):
+        """Each row of a patient's one product equals that sentence's own
+        call, and the teacher's targets are the tempered softmax of the rows."""
+        from eviground.distill import TeacherGrounder, teacher_evidence_distribution
+        from eviground.grounding import GrounderConfig, train_grounding
+        from eviground.losses import softmax
+
+        emb, _, _ = train_grounding(
+            small_cohort, GrounderConfig(epochs=2, train_decoder=False), seed=0
+        )
+        teacher = TeacherGrounder(emb, tau=0.07)
+        for pid in small_cohort.split["test"]:
+            sentences = [r.sentence for r in small_cohort.rows_for("test") if r.patient_id == pid]
+            evs = small_cohort.records[pid].evidence
+            z = grounding.grounding_logits(sentences, evs, emb, 0.07)
+            assert z.shape == (len(sentences), len(evs))
+            for i, sentence in enumerate(sentences):
+                one = grounding.grounding_logits([sentence], evs, emb, 0.07)
+                np.testing.assert_allclose(z[i], one[0], rtol=0, atol=1e-12)
+            q = teacher_evidence_distribution(teacher, sentences, evs, 2.0)
+            np.testing.assert_array_equal(q, [softmax(row, temperature=2.0) for row in z])
 
     def test_sums_to_one(self):
         evs = [_ev(j, t) for j, t in enumerate(["memory score", "tau level"])]
