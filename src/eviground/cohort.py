@@ -436,7 +436,30 @@ class Cohort:
         grounding = list(tensorio.read_json_lines(root / "grounding.jsonl", GroundingRow.from_json))
         split = tensorio.read_json_object(root / "split.json")
         rules = RuleConfig.load(root / "rules.json")
-        return cls(root, records, grounding, split, rules)
+        cohort = cls(root, records, grounding, split, rules)
+        cohort._check_links()
+        return cohort
+
+    def _check_links(self) -> None:
+        """Reject files that disagree: each split is a list of known patient
+        ids, each grounding row names a known patient and evidence of that
+        patient, and each split patient has at least one grounding row."""
+        split_path, rows_path = self.root / "split.json", self.root / "grounding.jsonl"
+        for name in sorted({"train", "val", "test"} | set(self.split)):
+            ids = self.split.get(name)
+            if not isinstance(ids, list) or not all(isinstance(p, str) and p in self.records for p in ids):
+                raise ValidationError(f"{split_path}: {name!r} must be a list of known patient ids")
+        evidence = {pid: {e.id for e in r.evidence} for pid, r in self.records.items()}
+        for number, row in enumerate(self.grounding, 1):
+            known = evidence.get(row.patient_id) if isinstance(row.patient_id, str) else None
+            if known is None or not isinstance(row.evidence_ids, list) or not all(
+                isinstance(e, str) and e in known for e in row.evidence_ids
+            ):
+                raise ValidationError(f"{rows_path}: row {number} names an unknown patient or evidence")
+        grounded = {row.patient_id for row in self.grounding}
+        missing = [p for ids in self.split.values() for p in ids if p not in grounded]
+        if missing:
+            raise ValidationError(f"{rows_path}: no rows for split patients {missing[:3]}")
 
     def volume(self, pid: str) -> np.ndarray:
         return tensorio.load_tensor(self.root / "volumes" / f"{pid}.emad")

@@ -49,16 +49,14 @@ class TeacherGrounder:
 @dataclass
 class DistillConfig:
     distill_temperature: float = 2.0
-    lambda_kl: float = 1.0
     epochs: int = 20
     lr: float = 0.5
-    init_from_teacher: bool = False
 
     def __post_init__(self):
         if self.distill_temperature <= 0:
             raise ValidationError("distill_temperature must be positive")
-        if self.epochs < 1 or self.lr < 0 or self.lambda_kl < 0:
-            raise ValidationError("epochs >= 1, lr >= 0 and lambda_kl >= 0 required")
+        if self.epochs < 1 or self.lr < 0:
+            raise ValidationError("epochs >= 1 and lr >= 0 required")
 
 
 def distill_loss(teacher_p: np.ndarray, student_logits: np.ndarray, tau_d: float) -> LossWithGrad:
@@ -103,7 +101,7 @@ def train_student(
     *,
     seed: int,
 ) -> tuple[Embedder, list[dict]]:
-    """Minimize lambda_kl * distill loss over all generated sentences, one
+    """Minimize the distill loss over all generated sentences, one
     SGD step per generated report on the mean loss over its sentences.
 
     Candidates for each sentence are restricted to its patient's evidence
@@ -116,15 +114,11 @@ def train_student(
     if not reports:
         raise EmptyDatasetError("no generated reports")
 
-    student = (
-        teacher.embedder.copy()
-        if cfg.init_from_teacher
-        else Embedder(
-            teacher.embedder.vocab_hash_dim,
-            teacher.embedder.base_dim,
-            teacher.embedder.embed_dim,
-            seed=seed + 1,
-        )
+    student = Embedder(
+        teacher.embedder.vocab_hash_dim,
+        teacher.embedder.base_dim,
+        teacher.embedder.embed_dim,
+        seed=seed + 1,
     )
     teacher_before = teacher.embedder.flat.copy()
 
@@ -154,8 +148,8 @@ def train_student(
             v_e, cache_e = student.encode_features(feat_e)
             logits = v_s @ v_e.T / teacher.tau
             loss = distill_loss(q, logits, cfg.distill_temperature)
-            total += cfg.lambda_kl * loss.value * len(q)
-            dz = cfg.lambda_kl * loss.grads["student_logits"]
+            total += loss.value * len(q)
+            dz = loss.grads["student_logits"]
             g_s = student.backward_texts(cache_s, dz @ v_e / teacher.tau)
             g_e = student.backward_texts(cache_e, dz.T @ v_s / teacher.tau)
             student.flat -= cfg.lr * (g_s + g_e)

@@ -119,7 +119,6 @@ class GrounderConfig:
     epochs: int = 12
     lr: float = 0.5
     tau: float = 0.07
-    lambda_mask: float = 1.0
     lambda_dice: float = 1.0
     lambda_bce: float = 1.0
     train_decoder: bool = True
@@ -132,7 +131,7 @@ class GrounderConfig:
             raise ValidationError("epochs >= 1, tau > 0, lr > 0, decoder_lr > 0 required")
         if self.decoder_epochs < 1 or self.decoder_layers < 1:
             raise ValidationError("decoder_epochs >= 1 and decoder_layers >= 1 required")
-        if min(self.lambda_mask, self.lambda_dice, self.lambda_bce) < 0:
+        if min(self.lambda_dice, self.lambda_bce) < 0:
             raise ValidationError("loss weights must be nonnegative")
 
 
@@ -203,23 +202,21 @@ def train_grounding(
         )
         decoder = SegDecoder(dec_cfg)
         samples = []
-        if cfg.lambda_mask > 0.0:  # zero mask weight must leave the decoder untouched
-            for pid in ids:
-                record = cohort.records[pid]
-                tokens = decoder.volume_to_tokens(cohort.volume(pid))
-                for item in record.evidence:
-                    if item.anatomy_ref is None:
-                        continue
-                    ev_tokens = emb.embed_tokens(tokenize(item.descriptor))
-                    # binary 0/1 masks kept as bool; each batch casts back exactly
-                    mask = cohort.mask(pid, item.anatomy_ref).astype(bool)
-                    samples.append((tokens, ev_tokens, mask))
+        for pid in ids:
+            record = cohort.records[pid]
+            tokens = decoder.volume_to_tokens(cohort.volume(pid))
+            for item in record.evidence:
+                if item.anatomy_ref is None:
+                    continue
+                ev_tokens = emb.embed_tokens(tokenize(item.descriptor))
+                # binary 0/1 masks kept as bool; each batch casts back exactly
+                mask = cohort.mask(pid, item.anatomy_ref).astype(bool)
+                samples.append((tokens, ev_tokens, mask))
         mask_rows = train_mask_decoder(
             decoder,
             samples,
             epochs=cfg.decoder_epochs,
             lr=cfg.decoder_lr,
-            lambda_mask=cfg.lambda_mask,
             lambda_dice=cfg.lambda_dice,
             lambda_bce=cfg.lambda_bce,
             seed=seed,

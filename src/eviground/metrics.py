@@ -15,6 +15,8 @@ from .rules import EntailmentScorer, RuleConfig, total_reward
 from .segdecoder import SegDecoder, decode_mask
 from .textenc import FrozenTexts, tokenize
 
+DICE_THRESHOLD = 0.5  # a voxel is predicted inside the structure at this probability
+
 
 def recall_at_k(ranked: list[str], gold: set[str], k: int) -> float:
     """Fraction of gold items recovered in the top k."""
@@ -64,7 +66,6 @@ def eval_grounding(
     cohort,
     split: str = "test",
     tau: float = 0.07,
-    dice_threshold: float = 0.5,
 ) -> dict:
     """Sentence-evidence retrieval metrics and per-structure mask Dice.
 
@@ -105,7 +106,7 @@ def eval_grounding(
                     # so one ablated pass serves every evidence of the patient
                     ablated = decode_mask(decoder, tokens, ev_tokens, zero_cross_attention=True)
                 for store, pass_probs in ((per_structure, probs), (per_structure_ablated, ablated)):
-                    pred = (pass_probs >= dice_threshold).astype(np.float64)
+                    pred = (pass_probs >= DICE_THRESHOLD).astype(np.float64)
                     store.setdefault(item.anatomy_ref, []).append(dice_score(pred, gt))
         for structure, vals in sorted(per_structure.items()):
             metrics[f"dice.{structure}"] = float(np.mean(vals))

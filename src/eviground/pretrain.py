@@ -1,6 +1,6 @@
-"""Alignment-stage objectives: symmetric image-text contrastive loss,
-reconstruction losses, and the EMA momentum update, plus a small driver
-that trains linear encoders/decoders over cohort volumes and record text.
+"""Alignment-stage objectives: symmetric image-text contrastive loss and
+reconstruction losses, plus a small driver that trains linear
+encoders/decoders over cohort volumes and record text.
 
 A driver step handles its batch as matrix products: the reconstruction
 losses take all of its rows at once, each sample's token loss reads one
@@ -19,18 +19,11 @@ from .losses import PROB_FLOOR, LossWithGrad, mse_loss, softmax
 from .textenc import token_bucket, tokenize
 
 
-def itc_loss(
-    img_feats: np.ndarray,
-    txt_feats: np.ndarray,
-    tau: float = 0.07,
-    extra_img: np.ndarray | None = None,
-    extra_txt: np.ndarray | None = None,
-) -> LossWithGrad:
+def itc_loss(img_feats: np.ndarray, txt_feats: np.ndarray, tau: float = 0.07) -> LossWithGrad:
     """Mean of image->text and text->image cross-entropies over the pairwise
     similarity matrix, diagonal pairs as targets.
 
     Rows are expected unit-normalized; similarities are plain dot products.
-    Optional extra rows (e.g. momentum features) join as negatives only.
     """
     f_i = np.asarray(img_feats, dtype=np.float64)
     f_t = np.asarray(txt_feats, dtype=np.float64)
@@ -40,10 +33,8 @@ def itc_loss(
     if b < 2:
         raise ValidationError("need batch size >= 2")
 
-    cand_t = f_t if extra_txt is None else np.vstack([f_t, extra_txt])
-    cand_i = f_i if extra_img is None else np.vstack([f_i, extra_img])
-    s_i2t = f_i @ cand_t.T / tau  # (b, b + extra)
-    s_t2i = f_t @ cand_i.T / tau
+    s_i2t = f_i @ f_t.T / tau
+    s_t2i = f_t @ f_i.T / tau
 
     p_i2t = softmax(s_i2t)
     p_t2i = softmax(s_t2i)
@@ -59,9 +50,9 @@ def itc_loss(
     d_t2i[idx, idx] -= 1.0
     d_t2i /= 2.0 * b * tau
 
-    # image rows get i2t query grads plus t2i candidate grads (first b columns)
-    grad_img = d_i2t @ cand_t + d_t2i[:, :b].T @ f_t
-    grad_txt = d_t2i @ cand_i + d_i2t[:, :b].T @ f_i
+    # image rows get i2t query grads plus t2i candidate grads
+    grad_img = d_i2t @ f_t + d_t2i.T @ f_t
+    grad_txt = d_t2i @ f_i + d_i2t.T @ f_i
     return LossWithGrad(value, {"img_feats": grad_img, "txt_feats": grad_txt})
 
 
@@ -112,35 +103,12 @@ def reconstruction_losses(
 
 
 @dataclass
-class EmaState:
-    online: dict[str, np.ndarray]
-    momentum: dict[str, np.ndarray]
-    m: float = 0.995
-
-    def __post_init__(self):
-        if not 0.0 <= self.m < 1.0:
-            raise ValidationError("momentum coefficient must be in [0, 1)")
-        for key, value in self.online.items():
-            if self.momentum[key].shape != value.shape:
-                raise DimMismatchError(f"momentum copy of {key} has wrong shape")
-
-
-def ema_update(state: EmaState) -> EmaState:
-    """momentum <- m * momentum + (1 - m) * online, elementwise."""
-    for key, online in state.online.items():
-        state.momentum[key] = state.m * state.momentum[key] + (1.0 - state.m) * online
-    return state
-
-
-@dataclass
 class PretrainConfig:
     steps: int = 200
     batch_size: int = 8
     lr: float = 0.05
     tau: float = 0.07
     lambda_res: float = 0.5
-    ema_momentum: float = 0.995
-    use_momentum_negatives: bool = False
     max_text_tokens: int = 24
 
     def __post_init__(self):
@@ -195,11 +163,7 @@ def pretrain_data_from_cohort(cohort, split: str = "train", cfg: PretrainConfig 
 
 
 def run_pretrain(data: PretrainData, cfg: PretrainConfig, *, seed: int) -> list[dict]:
-    """Train linear encoders with ITC plus reconstruction; returns step logs.
-
-    Momentum copies of both encoders are maintained by EMA; when enabled
-    they contribute extra in-batch negatives to the contrastive loss.
-    """
+    """Train linear encoders with ITC plus reconstruction; returns step logs."""
     rng = np.random.default_rng(seed)
     n, img_dim = data.img_pooled.shape
     txt_dim = data.txt_feats.shape[1]
@@ -218,11 +182,6 @@ def run_pretrain(data: PretrainData, cfg: PretrainConfig, *, seed: int) -> list[
     params["txt_enc"][...] = rng.normal(0, 1 / np.sqrt(txt_dim), (txt_dim, d))
     params["img_dec"][...] = rng.normal(0, 0.01, (d, vol_flat.shape[1]))
     params["txt_dec"][...] = rng.normal(0, 0.01, (d, data.vocab))
-    ema = EmaState(
-        online={"img_enc": params["img_enc"], "txt_enc": params["txt_enc"]},
-        momentum={"img_enc": params["img_enc"].copy(), "txt_enc": params["txt_enc"].copy()},
-        m=cfg.ema_momentum,
-    )
 
     history = []
     for step in range(cfg.steps):
@@ -232,12 +191,7 @@ def run_pretrain(data: PretrainData, cfg: PretrainConfig, *, seed: int) -> list[
 
         img_f, img_norms = _normalize_rows(img_in @ params["img_enc"])
         txt_f, txt_norms = _normalize_rows(txt_in @ params["txt_enc"])
-
-        extra_img = extra_txt = None
-        if cfg.use_momentum_negatives:
-            extra_img = _normalize_rows(img_in @ ema.momentum["img_enc"])[0]
-            extra_txt = _normalize_rows(txt_in @ ema.momentum["txt_enc"])[0]
-        itc = itc_loss(img_f, txt_f, cfg.tau, extra_img=extra_img, extra_txt=extra_txt)
+        itc = itc_loss(img_f, txt_f, cfg.tau)
 
         d_img_f = itc.grads["img_feats"]
         d_txt_f = itc.grads["txt_feats"]
@@ -268,7 +222,6 @@ def run_pretrain(data: PretrainData, cfg: PretrainConfig, *, seed: int) -> list[
         for name, g in grads.items():
             g *= cfg.lr
             params[name] -= g
-        ema_update(ema)
 
         history.append(
             {

@@ -515,13 +515,12 @@ def train_mask_decoder(
     samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     epochs: int,
     lr: float,
-    lambda_mask: float = 1.0,
     lambda_dice: float = 1.0,
     lambda_bce: float = 1.0,
     seed: int = 0,
     batch_size: int = BATCH_SIZE,
 ) -> list[dict]:
-    """Adam on lambda_mask * (dice + bce) over (tokens, evidence, mask) samples.
+    """Adam on ``dice_bce_loss`` over (tokens, evidence, mask) samples.
 
     Each epoch shuffles the samples and takes one Adam step per
     ``batch_size`` of them (the last batch may be short), ceil(n / batch_size)
@@ -535,7 +534,7 @@ def train_mask_decoder(
     """
     if batch_size < 1:
         raise ValidationError("batch_size must be at least 1")
-    if lambda_mask == 0.0 or not samples:
+    if not samples:
         return []
     _raise_heap_trim_threshold()
     rng = np.random.default_rng(seed)
@@ -547,7 +546,7 @@ def train_mask_decoder(
         total = grad_norms = 0.0
         for start in steps:
             batch = [samples[i] for i in order[start : start + batch_size]]
-            loss, grad_norm = _train_step(dec, opt, batch, lambda_mask, lambda_dice, lambda_bce)
+            loss, grad_norm = _train_step(dec, opt, batch, lambda_dice, lambda_bce)
             total += loss
             grad_norms += grad_norm
         rows.append({"l_mask": total / len(samples), "g_mask": grad_norms / len(steps)})
@@ -570,7 +569,7 @@ def _raise_heap_trim_threshold() -> None:
     np.empty(8 << 20, dtype=np.uint8)
 
 
-def _train_step(dec, opt, batch, lambda_mask, lambda_dice, lambda_bce) -> tuple[float, float]:
+def _train_step(dec, opt, batch, lambda_dice, lambda_bce) -> tuple[float, float]:
     """One Adam step on one batch, computed in float32; returns the batch's
     summed sample loss and the L2 norm of its flat gradient. The forward
     cache is local, so it is freed before the next batch's forward."""
@@ -579,6 +578,7 @@ def _train_step(dec, opt, batch, lambda_mask, lambda_dice, lambda_bce) -> tuple[
     gt = np.stack([sample[2] for sample in batch]).astype(np.float64)
     logits, cache = dec.forward(tokens, evidence, evidence_lengths=lengths)
     loss = dice_bce_loss(logits, gt, lambda_dice, lambda_bce)
-    grads = dec.backward(lambda_mask * loss.grads["pred_logits"], cache)
+    grads = dec.backward(loss.grads["pred_logits"], cache)
     opt.step(dec.flat, grads)
-    return lambda_mask * loss.value * len(batch), math.sqrt(np.dot(grads, grads))
+    # a ufunc reduction sums in the same order whatever the BLAS thread count
+    return loss.value * len(batch), math.sqrt(np.add.reduce(grads * grads))

@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eviground
 from eviground import tensorio
 from eviground.cli import _build_parser, cli_main
 from eviground.cohort import Cohort
@@ -252,6 +256,27 @@ def test_train_and_eval_pipeline(tmp_path, cohort_dir, capsys):
     assert names == {"accuracy", "valid_format_rate", "nia_consistency_rate", "entailment_rate"}
 
 
+def test_train_sea_outputs_do_not_depend_on_blas_threads(tmp_path, cohort_dir):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grounder": {"epochs": 1, "decoder_epochs": 2}}))
+    src = str(Path(eviground.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):  # two threads are enough to split a BLAS sum; never ask for more
+        out = tmp_path / f"sea{threads}"
+        argv = ["train-sea", "--cohort", str(cohort_dir), "--out", str(out), "--config", str(cfg)]
+        subprocess.run(
+            [sys.executable, "-m", "eviground.cli", *argv],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+            check=True,
+            capture_output=True,
+        )
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        digests.append({str(p.relative_to(out)): tensorio.file_sha256(p) for p in files})
+    assert "grounding_log.csv" in digests[0]
+    assert digests[0] == digests[1]
+
+
 def test_label_efficiency_csv_schema(tmp_path, cohort_dir, capsys):
     out = tmp_path / "le"
     code = cli_main(
@@ -352,7 +377,6 @@ def _one_line_error(capsys) -> str:
     [
         ("distill", "distill", "epochs", 0),
         ("distill", "distill", "lr", -1.0),
-        ("distill", "distill", "lambda_kl", -1.0),
         ("pretrain", "pretrain", "max_text_tokens", 0),
         ("pretrain", "pretrain", "max_text_tokens", -1),
         ("pretrain", "pretrain", "lr", 0.0),
@@ -365,6 +389,25 @@ def _one_line_error(capsys) -> str:
     ],
 )
 def test_config_out_of_range_exits_1(tmp_path, cohort_dir, capsys, command, section, key, value):
+    _assert_config_rejected(tmp_path, cohort_dir, capsys, command, section, key, value)
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("pretrain", "pretrain", "use_momentum_negatives", False),
+        ("pretrain", "pretrain", "ema_momentum", 0.995),
+        ("distill", "distill", "lambda_kl", 1.0),
+        ("distill", "distill", "init_from_teacher", False),
+        ("train-sea", "grounder", "lambda_mask", 1.0),
+    ],
+)
+def test_config_removed_key_exits_1(tmp_path, cohort_dir, capsys, command, section, key, value):
+    # removed options are unknown keys, even at their old defaults
+    _assert_config_rejected(tmp_path, cohort_dir, capsys, command, section, key, value)
+
+
+def _assert_config_rejected(tmp_path, cohort_dir, capsys, command, section, key, value):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({section: {key: value}}))
     # the config is checked before the teacher directory is read
@@ -503,6 +546,50 @@ def test_train_grpo_cohort_line_missing_fields_exits_1(
     assert code == 1
     err = _one_line_error(capsys)
     assert name in err and field in err
+
+
+def _edit_split(change):
+    def edit(text):
+        split = json.loads(text)
+        change(split)
+        return json.dumps(split)
+
+    return edit
+
+
+def _drop_rows_of(pid):
+    def edit(text):
+        return "".join(line for line in text.splitlines(True) if json.loads(line)["patient_id"] != pid)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, edit, words",
+    [
+        pytest.param("split.json", _edit_split(lambda s: s.pop("train")), "'train'", id="no-train"),
+        pytest.param(
+            "split.json", _edit_split(lambda s: s["train"].append("p9999")), "'train'",
+            id="unknown-patient",
+        ),
+        pytest.param("split.json", _edit_split(lambda s: s.update(test=5)), "'test'", id="not-a-list"),
+        pytest.param(
+            "grounding.jsonl", lambda text: text.replace('"demo"', '"nope"', 1), "evidence",
+            id="unknown-evidence",
+        ),
+        pytest.param("grounding.jsonl", _drop_rows_of("p0000"), "p0000", id="patient-without-rows"),
+    ],
+)
+def test_train_grpo_inconsistent_cohort_exits_1(tmp_path, cohort_dir, capsys, name, edit, words):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    (cohort / name).write_text(edit((cohort / name).read_text()))
+    code = cli_main(
+        ["train-grpo", "--cohort", str(cohort), "--out", str(tmp_path / "o"), "--iters", "2"]
+    )
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert name in err and words in err
 
 
 def test_score_report_invalid_rules_config_exits_1(tmp_path, cohort_dir, capsys):

@@ -24,15 +24,12 @@ def test_defaults_match_documented_values():
     assert cfg.cohort.n_patients == 100
     assert cfg.cohort.volume_dim == 16
     assert cfg.grounder.tau == 0.07
-    assert cfg.grounder.lambda_mask == 1.0
     assert cfg.grounder.lambda_dice == 1.0
     assert cfg.grounder.lambda_bce == 1.0
     assert cfg.distill.distill_temperature == 2.0
-    assert cfg.distill.lambda_kl == 1.0
     assert (cfg.rft.group_size, cfg.rft.epsilon, cfg.rft.beta) == (4, 0.2, 0.1)
     assert cfg.rft.lr == 0.05
     assert cfg.pretrain.lambda_res == 0.5
-    assert cfg.pretrain.ema_momentum == 0.995
     assert cfg.cohort.rules.w_format == 0.2
     assert cfg.cohort.rules.w_nia == 0.5
     assert cfg.cohort.rules.w_consistency == 0.3

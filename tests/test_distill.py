@@ -14,7 +14,7 @@ from eviground.errors import (
 )
 from eviground.grounding import GrounderConfig, train_grounding
 from eviground.losses import softmax
-from eviground.textenc import Embedder
+from eviground.textenc import Embedder, FrozenTexts
 
 
 class TestDistillLoss:
@@ -83,7 +83,6 @@ class TestDistillLoss:
     def test_defaults_match_experimental_setup(self):
         cfg = distill.DistillConfig()
         assert cfg.distill_temperature == 2.0
-        assert cfg.lambda_kl == 1.0
 
     def test_zero_lr_constructs(self):
         # lr = 0 keeps the student at its initial weights (see TestTrainStudent)
@@ -113,10 +112,16 @@ class TestTrainStudent:
         with pytest.raises(EmptyDatasetError):
             distill.train_student([], teacher, distill.DistillConfig(), seed=0)
 
-    def test_student_at_teacher_weights_starts_at_zero_loss(self, teacher, train_reports):
-        cfg = distill.DistillConfig(epochs=1, lr=0.0, init_from_teacher=True)
-        _, rows = distill.train_student(train_reports, teacher, cfg, seed=0)
-        assert rows[0]["loss"] <= 1e-9
+    def test_student_at_teacher_weights_starts_at_zero_loss(
+        self, small_cohort, teacher, train_reports
+    ):
+        tau_d = distill.DistillConfig().distill_temperature
+        at_teacher = distill._held_out(teacher, FrozenTexts(teacher.embedder), small_cohort, tau_d)
+        assert at_teacher[2] == 0.0
+        # the student starts at its own seeded weights, not at the teacher's
+        cfg = distill.DistillConfig(epochs=1, lr=0.0)
+        start, _ = distill.train_student(train_reports, teacher, cfg, seed=0)
+        assert distill._held_out(teacher, FrozenTexts(start), small_cohort, tau_d)[2] > 0.0
 
     def test_loss_strictly_decreases_over_first_epochs_smoothed(self, teacher, train_reports):
         cfg = distill.DistillConfig(epochs=12, lr=0.5)
@@ -165,13 +170,17 @@ class TestLabelEfficiency:
         assert 0.0 <= rows[0]["ratio"] <= 1.05
 
 
-    def test_student_kl_is_zero_only_at_teacher_weights(self, small_cohort):
+    def test_student_kl_is_zero_only_at_teacher_weights(self, small_cohort, teacher):
+        tau_d = 2.0
+        same = distill._held_out(teacher, FrozenTexts(teacher.embedder), small_cohort, tau_d)
+        nudged = teacher.embedder.copy()
+        nudged.flat += 1e-3 * np.random.default_rng(0).normal(size=nudged.flat.shape)
+        moved = distill._held_out(teacher, FrozenTexts(nudged), small_cohort, tau_d)
         gcfg = GrounderConfig(epochs=2, train_decoder=False)
-        copy = distill.DistillConfig(epochs=1, lr=0.0, init_from_teacher=True)
         fresh = distill.DistillConfig(epochs=1)
-        (same,) = distill.label_efficiency_experiment(small_cohort, [1.0], copy, gcfg, seed=0)
         (other,) = distill.label_efficiency_experiment(small_cohort, [1.0], fresh, gcfg, seed=0)
-        assert same["student_kl"] == 0.0
+        assert same[2] == 0.0 and same[0] == same[1]
+        assert moved[2] > 0.0
         assert other["student_kl"] > 0.0
 
     def test_held_out_matches_per_sentence_recomputation(self, small_cohort, teacher):

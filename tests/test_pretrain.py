@@ -1,4 +1,4 @@
-"""Alignment-stage losses, EMA update, and the short-training property."""
+"""Alignment-stage losses and the short-training property."""
 
 import math
 
@@ -147,39 +147,10 @@ class TestReconstructionLosses:
             pretrain.reconstruction_losses(x, x, [np.array([0]), np.array([5])], np.zeros((2, 5)))
 
 
-class TestEmaUpdate:
-    def test_fixed_point(self):
-        w = np.array([1.0, 2.0])
-        state = pretrain.EmaState({"w": w}, {"w": w.copy()}, m=0.9)
-        pretrain.ema_update(state)
-        np.testing.assert_array_equal(state.momentum["w"], w)
-
-    def test_zero_momentum_copies_online(self):
-        state = pretrain.EmaState({"w": np.array([3.0])}, {"w": np.array([7.0])}, m=0.0)
-        pretrain.ema_update(state)
-        np.testing.assert_array_equal(state.momentum["w"], [3.0])
-
-    def test_halfway(self):
-        state = pretrain.EmaState({"w": np.array([2.0])}, {"w": np.array([0.0])}, m=0.5)
-        pretrain.ema_update(state)
-        np.testing.assert_allclose(state.momentum["w"], [1.0])
-
-    def test_contraction_toward_online(self):
-        rng = np.random.default_rng(4)
-        online = rng.normal(size=6)
-        momentum = rng.normal(size=6)
-        state = pretrain.EmaState({"w": online}, {"w": momentum.copy()}, m=0.8)
-        before = np.linalg.norm(momentum - online)
-        pretrain.ema_update(state)
-        after = np.linalg.norm(state.momentum["w"] - online)
-        assert after <= 0.8 * before + 1e-12
-
-
 def _per_row_run_pretrain(data, cfg, *, seed):
     """``run_pretrain`` as a loop over the batch's samples: per-sample
     reconstruction losses on tiled logit rows, outer-product gradients
-    accumulated into one flat vector, one update of the whole vector. No
-    momentum negatives, so the EMA copies are left out."""
+    accumulated into one flat vector, one update of the whole vector."""
     from eviground import tensorio
 
     rng = np.random.default_rng(seed)
@@ -280,24 +251,3 @@ class TestRunPretrain:
         hist = pretrain.run_pretrain(data, pretrain.PretrainConfig(steps=3), seed=2)
         assert list(hist[0]) == ["step", "l_itc", "l_res_v", "l_res_t", "l_pt"]
 
-
-class TestMomentumNegatives:
-    def test_flag_adds_negative_columns_without_breaking(self):
-        rng = np.random.default_rng(7)
-        data = TestRunPretrain._synthetic_data(TestRunPretrain(), n=12, seed=7)
-        cfg = pretrain.PretrainConfig(steps=20, use_momentum_negatives=True)
-        hist = pretrain.run_pretrain(data, cfg, seed=7)
-        assert len(hist) == 20
-        assert all(np.isfinite(row["l_pt"]) for row in hist)
-
-    def test_extra_negatives_raise_itc_loss(self):
-        rng = np.random.default_rng(8)
-        f_i = rng.normal(size=(4, 6))
-        f_i /= np.linalg.norm(f_i, axis=1, keepdims=True)
-        f_t = rng.normal(size=(4, 6))
-        f_t /= np.linalg.norm(f_t, axis=1, keepdims=True)
-        base = pretrain.itc_loss(f_i, f_t, tau=0.5).value
-        extra = rng.normal(size=(3, 6))
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        with_neg = pretrain.itc_loss(f_i, f_t, tau=0.5, extra_img=extra, extra_txt=extra).value
-        assert with_neg >= base  # denominators only grow

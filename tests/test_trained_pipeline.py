@@ -28,18 +28,6 @@ def test_training_loss_decreases(default_cohort):
     assert all(b <= a + 1e-3 for a, b in zip(smoothed, smoothed[1:]))
 
 
-def test_lambda_mask_zero_leaves_decoder_untouched(small_cohort):
-    from eviground.grounding import GrounderConfig, train_grounding
-    from eviground.segdecoder import SegDecoder, SegDecoderConfig
-
-    cfg = GrounderConfig(epochs=2, lambda_mask=0.0, train_decoder=True)
-    _, dec, rows = train_grounding(small_cohort, cfg, seed=5)
-    fresh = SegDecoder(SegDecoderConfig(seed=5))
-    assert [(row["l_mask"], row["g_mask"]) for row in rows] == [("", ""), ("", "")]
-    for key, value in fresh.params.items():
-        np.testing.assert_array_equal(dec.params[key], value)
-
-
 def _centroid(mask):
     idx = np.argwhere(mask)
     return idx.mean(axis=0)
