@@ -15,7 +15,7 @@ from .rules import EntailmentScorer, RuleConfig, total_reward
 from .segdecoder import SegDecoder, decode_mask
 from .textenc import FrozenTexts, tokenize
 
-DICE_THRESHOLD = 0.5  # a voxel is predicted inside the structure at this probability
+DICE_THRESHOLD = 0.5  # a voxel at or above this probability is predicted inside the structure
 
 
 def recall_at_k(ranked: list[str], gold: set[str], k: int) -> float:
