@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gradcheck, metrics
+from . import gradcheck, metrics, tensorio
 from .cohort import Cohort, generate_cohort
 from .config import RunConfig, check_seed
 from .distill import (
@@ -225,7 +225,7 @@ def _cmd_score_report(args) -> int:
     cohort = Cohort.load(args.cohort)
     if args.patient not in cohort.records:
         raise ValidationError(f"unknown patient {args.patient!r}")
-    text = Path(args.report).read_text()
+    text = tensorio.read_text(args.report)
     record = cohort.records[args.patient]
     rules = RuleConfig.load(args.config) if args.config else cohort.rules
     breakdown = total_reward(
@@ -269,7 +269,7 @@ def _cmd_eval_consistency(args) -> int:
         for pid in ids:
             path = Path(args.reports) / f"{pid}.txt"
             if path.exists():
-                pairs.append((cohort.records[pid], path.read_text()))
+                pairs.append((cohort.records[pid], tensorio.read_text(path)))
         if not pairs:
             raise ValidationError(f"no <patient>.txt reports for split {args.split!r} in {args.reports}")
     else:

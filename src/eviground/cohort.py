@@ -468,7 +468,7 @@ class Cohort:
         return tensorio.load_tensor(self.root / self.records[pid].mask_files[structure])
 
     def gold_report(self, pid: str) -> str:
-        return (self.root / "reports" / f"{pid}.txt").read_text()
+        return tensorio.read_text(self.root / "reports" / f"{pid}.txt")
 
     def split_ids(self, split_name: str) -> list[str]:
         if split_name not in self.split:

@@ -54,10 +54,13 @@ def evidence_ranking(logits: np.ndarray, evidence: list[EvidenceItem]) -> list[s
     return [evidence[j].id for j in order]
 
 
-def rank_evidences(sentence: str, record: PatientRecord, emb, tau: float) -> list[str]:
-    """Evidence ids of the patient, most similar first; ties keep list order."""
-    logits = grounding_logits([sentence], record.evidence, emb, tau)[0]
-    return evidence_ranking(logits, record.evidence)
+def rank_evidences(
+    sentences: list[str], record: PatientRecord, emb, tau: float
+) -> list[list[str]]:
+    """Per sentence, the patient's evidence ids, most similar first; ties keep
+    list order. All the sentences are scored in one product."""
+    logits = grounding_logits(sentences, record.evidence, emb, tau)
+    return [evidence_ranking(row, record.evidence) for row in logits]
 
 
 def eval_grounding(
@@ -74,13 +77,15 @@ def eval_grounding(
     """
     from .losses import dice_score
 
-    rows = cohort.rows_for(split)
+    by_patient: dict[str, list] = {}
+    for row in cohort.rows_for(split):
+        by_patient.setdefault(row.patient_id, []).append(row)
     texts = FrozenTexts(emb)
     rankings, golds = [], []
-    for row in rows:
-        record = cohort.records[row.patient_id]
-        rankings.append(rank_evidences(row.sentence, record, texts, tau))
-        golds.append(set(row.evidence_ids))
+    for pid, rows in by_patient.items():
+        sentences = [row.sentence for row in rows]
+        rankings += rank_evidences(sentences, cohort.records[pid], texts, tau)
+        golds += [set(row.evidence_ids) for row in rows]
 
     metrics = {
         "r_at_1": float(np.mean([recall_at_k(r, g, 1) for r, g in zip(rankings, golds)])),

@@ -6,20 +6,20 @@ per-biomarker mention/status, sentence ordering), each a linear map from
 a patient-feature vector. A rollout's log-probability is the sum of its
 chosen-slot log-probabilities, so the sequence-level importance ratio is
 exact, and the KL to the reference policy has a closed form per slot. The
-reference is frozen, so ``grpo_loss`` takes it as its probability vector
-(``ref.probs(features)``), computed once per reference and feature vector
-and shared by every loss call on them.
+reference is frozen, so ``grpo_loss`` and ``ReportPolicy.mean_kl_to`` take
+it as its probability vector (``ref.probs(features)``), computed once per
+reference and feature vector and shared by every call on them.
 
 Parameter layout: the 11 slots have 43 choices in all, and every weight
 lives in one float64 vector, ``ReportPolicy.flat`` (731 scalars): the
 (43, 16) matrix ``W`` with one row per choice in slot order, then the 43
 biases ``b``. ``ReportPolicy.params`` names read-only views into it
 (``diagnosis.w``, ``diagnosis.b``, ...); ``grpo_loss`` returns a gradient of
-the same layout. Logits fill an (11, 5) slot table padded with ``-inf``, so
-the softmax, the sampling CDFs and the per-slot KL are row operations on the
-whole table; a zero-padded row sum rounds as ``np.sum`` over the slot alone.
-Checkpoints keep one EMAD file per name, so the flat layout never reaches
-the disk.
+the same layout. The 43 logits are one ``W @ features + b`` product, written
+into an (11, 5) slot table padded with ``-inf``, so the softmax and the
+sampling CDFs are row operations on the whole table; the per-slot KL sums
+each slot's run of the 43 with ``np.add.reduceat``. Checkpoints keep one
+EMAD file per name, so the flat layout never reaches the disk.
 """
 
 from __future__ import annotations
@@ -136,7 +136,12 @@ def _named_views(vec: np.ndarray) -> dict[str, np.ndarray]:
 def _slot_kl(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-slot KL(p || q) and the per-choice log-ratio log(p / q), floored."""
     log_ratio = np.log(np.maximum(p, LOG_PROB_FLOOR)) - np.log(np.maximum(q, LOG_PROB_FLOOR))
-    return _slot_table(p * log_ratio).sum(axis=1), log_ratio
+    return np.add.reduceat(p * log_ratio, _SLOT_START), log_ratio
+
+
+def _check_ref_probs(ref_probs: np.ndarray) -> None:
+    if ref_probs.shape != (N_CHOICES,):
+        raise DimMismatchError(f"ref_probs must have shape ({N_CHOICES},), got {ref_probs.shape}")
 
 
 def _chosen(choices: dict[str, int]) -> np.ndarray:
@@ -159,12 +164,10 @@ class ReportPolicy:
         self.slots = slot_layout()
         self.flat = np.zeros(_W_SIZE + N_CHOICES)
         self.params = MappingProxyType(_named_views(self.flat))
+        self._w = self.flat[:_W_SIZE].reshape(N_CHOICES, FEATURE_DIM)
+        self._b = self.flat[_W_SIZE:]
         # logits table reused by every ``probs`` call; padding stays -inf
         self._logits = np.full(_IN_SLOT.shape, -np.inf)
-        self._slot_rows = [
-            (self.params[f"{name}.w"], self.params[f"{name}.b"], row[:size])
-            for name, size, row in zip(_SLOT_NAMES, _SLOT_SIZES, self._logits)
-        ]
 
     def copy(self) -> "ReportPolicy":
         clone = ReportPolicy(self.seed, self.rules)
@@ -172,12 +175,13 @@ class ReportPolicy:
         return clone
 
     def probs(self, features: np.ndarray) -> np.ndarray:
-        """Choice probabilities of every slot, the 43 in slot order."""
-        # one product per slot: a stacked W @ features rounds differently
-        for w, b, row in self._slot_rows:
-            np.matmul(w, features, out=row)
-            row += b
+        """Choice probabilities of every slot, the 43 in slot order.
+
+        The 43 logits are one ``W @ features + b`` product, written into the
+        padded slot table whose rows are each slot's softmax.
+        """
         logits = self._logits
+        logits[_IN_SLOT] = self._w @ features + self._b
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         return (e / e.sum(axis=1, keepdims=True))[_IN_SLOT]
 
@@ -202,15 +206,18 @@ class ReportPolicy:
         cdf /= cdf[:, -1:]
         u = rng.random((g, N_SLOTS))
         picks = np.count_nonzero(cdf <= u[:, :, None], axis=2)
-        logps = np.log(p[_SLOT_START + picks])
+        logps = np.log(p[_SLOT_START + picks]).sum(axis=1)
         return [
-            (dict(zip(_SLOT_NAMES, row)), sum(logp))
+            (dict(zip(_SLOT_NAMES, row)), logp)
             for row, logp in zip(picks.tolist(), logps.tolist())
         ]
 
-    def mean_kl_to(self, ref: "ReportPolicy", features: np.ndarray) -> float:
-        """Exact categorical KL(self || ref), averaged over slots."""
-        kl, _ = _slot_kl(self.probs(features), ref.probs(features))
+    def mean_kl_to(self, ref_probs: np.ndarray, features: np.ndarray) -> float:
+        """Exact categorical KL(self || ref), averaged over slots; ``ref_probs``
+        is the reference's probability vector on ``features``, as in
+        ``grpo_loss``."""
+        _check_ref_probs(ref_probs)
+        kl, _ = _slot_kl(self.probs(features), ref_probs)
         return sum(kl.tolist()) / N_SLOTS
 
     # --- rendering -------------------------------------------------------------
@@ -345,34 +352,37 @@ def grpo_loss(
         raise ValidationError("epsilon must be in (0, 1)")
     if beta < 0.0:
         raise ValidationError("beta must be nonnegative")
-    if ref_probs.shape != (N_CHOICES,):
-        raise DimMismatchError(f"ref_probs must have shape ({N_CHOICES},), got {ref_probs.shape}")
-    features = group.features
-    g = len(group.rollouts)
-    p = policy.probs(features)
-    dlogits = np.zeros(N_CHOICES)
+    _check_ref_probs(ref_probs)
+    p = policy.probs(group.features)
+    grad = np.zeros(_W_SIZE + N_CHOICES)
+    dlogits = grad[_W_SIZE:]
 
     surrogate = 0.0
-    for rollout in group.rollouts:
-        chosen = rollout.chosen
-        new_lp = sum(np.log(p[chosen]).tolist())
-        delta = new_lp - rollout.old_logprob
-        # min/max clip exactly as np.clip does, without its per-call overhead
-        clamped = min(max(delta, -RATIO_EXPONENT_CLAMP), RATIO_EXPONENT_CLAMP)
-        rho = float(np.exp(clamped))
-        a = rollout.advantage
-        unclipped = rho * a
-        clipped = min(max(rho, 1.0 - epsilon), 1.0 + epsilon) * a
-        surrogate += -min(unclipped, clipped) / g
-        # active branch's d/d(new_lp); the clipped branch is flat outside the band
-        if unclipped <= clipped:
-            coeff = 0.0 if clamped != delta else -a * rho / g
-        else:
-            coeff = -a * rho / g if (1.0 - epsilon) <= rho <= (1.0 + epsilon) else 0.0
-        if coeff != 0.0:
-            onehot = np.zeros(N_CHOICES)
-            onehot[chosen] = 1.0
-            dlogits += coeff * (onehot - p)
+    if group.rollouts:
+        g = len(group.rollouts)
+        chosen = np.array([rollout.chosen for rollout in group.rollouts])
+        # the sum ``sample`` takes for ``old_logprob``: the policy that drew a
+        # rollout scores it at a ratio of exactly 1
+        new_lps = np.log(p[chosen]).sum(axis=1).tolist()
+        coeffs = []
+        for rollout, new_lp in zip(group.rollouts, new_lps):
+            delta = new_lp - rollout.old_logprob
+            # min/max clip exactly as np.clip does, without its per-call overhead
+            clamped = min(max(delta, -RATIO_EXPONENT_CLAMP), RATIO_EXPONENT_CLAMP)
+            rho = float(np.exp(clamped))
+            a = rollout.advantage
+            unclipped = rho * a
+            clipped = min(max(rho, 1.0 - epsilon), 1.0 + epsilon) * a
+            surrogate += -min(unclipped, clipped) / g
+            # active branch's d/d(new_lp); the clipped branch is flat outside the band
+            if unclipped <= clipped:
+                coeff = 0.0 if clamped != delta else -a * rho / g
+            else:
+                coeff = -a * rho / g if (1.0 - epsilon) <= rho <= (1.0 + epsilon) else 0.0
+            coeffs.append(coeff)
+        # sum over rollouts of coeff * (onehot(chosen) - p)
+        onehots = np.bincount(chosen.ravel(), np.repeat(coeffs, N_SLOTS), N_CHOICES)
+        dlogits += onehots - sum(coeffs) * p
 
     kl_total = 0.0
     if beta > 0.0:
@@ -380,7 +390,8 @@ def grpo_loss(
         kl_total = sum(kl_slot.tolist()) / N_SLOTS
         dlogits += (beta / N_SLOTS) * p * (log_ratio - kl_slot[_SLOT_OF_CHOICE])
 
-    grad = np.concatenate((np.outer(dlogits, features).ravel(), dlogits))
+    dw = grad[:_W_SIZE].reshape(N_CHOICES, FEATURE_DIM)
+    np.multiply(dlogits[:, None], group.features, out=dw)
     return LossWithGrad(surrogate + beta * kl_total, {"flat": grad})
 
 
@@ -424,7 +435,8 @@ def train_rft(
         patient = patients[int(rng.integers(len(patients)))]
         group = sample_group(policy, patient, cfg.group_size, rng.integers(2**63))
         score_group(group, patient, rule_cfg, scorer)
-        loss = grpo_loss(group, policy, ref.probs(group.features), cfg.epsilon, cfg.beta)
+        ref_probs = ref.probs(group.features)
+        loss = grpo_loss(group, policy, ref_probs, cfg.epsilon, cfg.beta)
         policy.flat -= cfg.lr * loss.grads["flat"]
         breakdowns = [r.reward for r in group.rollouts]
         rows.append(
@@ -434,7 +446,7 @@ def train_rft(
                 "r_format": float(np.mean([b.r_format for b in breakdowns])),
                 "r_nia": float(np.mean([b.r_nia for b in breakdowns])),
                 "r_consistency": float(np.mean([b.r_consistency for b in breakdowns])),
-                "kl_ref": policy.mean_kl_to(ref, group.features),
+                "kl_ref": policy.mean_kl_to(ref_probs, group.features),
             }
         )
     return policy, rows

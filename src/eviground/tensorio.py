@@ -86,6 +86,15 @@ def save_params(directory: str | Path, params: dict[str, np.ndarray], meta: dict
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def read_text(path: str | Path) -> str:
+    """Text of a UTF-8 file; other bytes are a ``ValidationError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_json_object(path: str | Path) -> dict:
     """Parse a JSON file whose top level must be an object."""
     try:

@@ -277,6 +277,25 @@ def test_train_sea_outputs_do_not_depend_on_blas_threads(tmp_path, cohort_dir):
     assert digests[0] == digests[1]
 
 
+def test_train_grpo_outputs_do_not_depend_on_blas_threads(tmp_path, cohort_dir):
+    src = str(Path(eviground.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):  # two threads are enough to split a BLAS sum; never ask for more
+        out = tmp_path / f"rft{threads}"
+        argv = ["train-grpo", "--cohort", str(cohort_dir), "--out", str(out)]
+        subprocess.run(
+            [sys.executable, "-m", "eviground.cli", *argv],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+            check=True,
+            capture_output=True,
+        )
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        digests.append({str(p.relative_to(out)): tensorio.file_sha256(p) for p in files})
+    assert "rft_log.csv" in digests[0]
+    assert digests[0] == digests[1]
+
+
 def test_label_efficiency_csv_schema(tmp_path, cohort_dir, capsys):
     out = tmp_path / "le"
     code = cli_main(
@@ -590,6 +609,31 @@ def test_train_grpo_inconsistent_cohort_exits_1(tmp_path, cohort_dir, capsys, na
     assert code == 1
     err = _one_line_error(capsys)
     assert name in err and words in err
+
+
+def _cohort_with_bad_report(tmp_path, cohort_dir) -> tuple[Path, str]:
+    """A copy of the cohort whose first train patient's report is not UTF-8."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    pid = Cohort.load(cohort).split["train"][0]
+    (cohort / "reports" / f"{pid}.txt").write_bytes(b"[Diagnosis]\nMCI \xff\xfe\n")
+    return cohort, pid
+
+
+@pytest.mark.parametrize("command", ["score-report", "eval-consistency", "label-efficiency", "distill"])
+def test_report_not_utf8_exits_1(tmp_path, cohort_dir, sea_checkpoint, capsys, command):
+    cohort, pid = _cohort_with_bad_report(tmp_path, cohort_dir)
+    report = cohort / "reports" / f"{pid}.txt"
+    common = ["--cohort", str(cohort), "--out", str(tmp_path / "o")]
+    argv = {
+        "score-report": ["--report", str(report), "--patient", pid, "--cohort", str(cohort)],
+        "eval-consistency": [*common, "--split", "train", "--reports", str(cohort / "reports")],
+        "label-efficiency": [*common, "--fractions", "1.0"],
+        "distill": [*common, "--teacher", str(sea_checkpoint)],
+    }[command]
+    assert cli_main([command, *argv]) == 1
+    err = _one_line_error(capsys)
+    assert f"{pid}.txt" in err and "UTF-8" in err
 
 
 def test_score_report_invalid_rules_config_exits_1(tmp_path, cohort_dir, capsys):

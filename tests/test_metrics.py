@@ -158,3 +158,31 @@ class TestEvalGrounding:
         assert len(ablated_calls) == len(pids)
         for structure, vals in per_structure.items():
             assert table[f"dice_ablated.{structure}"] == float(np.mean(vals))
+
+    def test_one_ranking_call_per_patient(self, small_cohort, monkeypatch):
+        from eviground.grounding import grounding_logits
+        from eviground.textenc import Embedder
+
+        emb = Embedder(seed=0)
+        calls = []
+        rank = metrics.rank_evidences
+
+        def counted(sentences, record, *args):
+            calls.append(record.id)
+            return rank(sentences, record, *args)
+
+        monkeypatch.setattr(metrics, "rank_evidences", counted)
+        table = metrics.eval_grounding(emb, None, small_cohort, "test")
+        assert sorted(calls) == sorted(small_cohort.split["test"])
+
+        # per-sentence products rank every sentence alike
+        rankings, golds = [], []
+        for row in small_cohort.rows_for("test"):
+            evidence = small_cohort.records[row.patient_id].evidence
+            logits = grounding_logits([row.sentence], evidence, emb, 0.07)[0]
+            rankings.append(metrics.evidence_ranking(logits, evidence))
+            golds.append(set(row.evidence_ids))
+        assert table["map"] == metrics.mean_average_precision(rankings, golds)
+        for k in (1, 3):
+            recall = [metrics.recall_at_k(r, g, k) for r, g in zip(rankings, golds)]
+            assert table[f"r_at_{k}"] == float(np.mean(recall))
