@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--policy", help="policy checkpoint directory")
-    p.add_argument("--reports", help="directory of <patient_id>.txt reports")
+    p.add_argument("--reports", help="directory with a <patient_id>.txt report per split patient")
     p.add_argument("--split", default="test")
 
     p = add("gradcheck", help="finite-difference verification of all gradients")
@@ -117,7 +117,7 @@ def _resolve_config(args) -> RunConfig:
 
 def _write_run_json(out: Path, command: str, cfg: RunConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"command": command, "seed": cfg.seed, "config": cfg.to_json()}
+    payload = {"command": command, "seed": cfg.seed, "config": dataclasses.asdict(cfg)}
     (out / "run.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -231,7 +231,7 @@ def _cmd_score_report(args) -> int:
     breakdown = total_reward(
         parse_report(text), record, rules, LexicalEntailmentScorer(rules)
     )
-    print(json.dumps(breakdown.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(breakdown), indent=2, sort_keys=True))
     return 0
 
 
@@ -267,11 +267,7 @@ def _cmd_eval_consistency(args) -> int:
             pairs.extend((record, rollout.text) for rollout in group.rollouts)
     elif args.reports:
         for pid in ids:
-            path = Path(args.reports) / f"{pid}.txt"
-            if path.exists():
-                pairs.append((cohort.records[pid], tensorio.read_text(path)))
-        if not pairs:
-            raise ValidationError(f"no <patient>.txt reports for split {args.split!r} in {args.reports}")
+            pairs.append((cohort.records[pid], tensorio.read_text(Path(args.reports) / f"{pid}.txt")))
     else:
         raise ValidationError("one of --policy or --reports is required")
     table = metrics.eval_consistency(pairs, cohort.rules, scorer)

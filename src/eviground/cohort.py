@@ -24,8 +24,6 @@ from .records import (
     LABELS,
     EvidenceItem,
     PatientRecord,
-    read_records,
-    write_records,
 )
 from .report import parse_report, render_report
 from .rules import RuleConfig, biomarker_abnormal, severity_bin, stage_from_values
@@ -38,7 +36,7 @@ STRUCTURES = ("left_hippocampus", "right_hippocampus")
 @dataclass
 class CohortConfig:
     n_patients: int = 100
-    label_mix: tuple = (1 / 3, 1 / 3, 1 / 3)  # CN, MCI, Dementia proportions
+    label_mix: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)  # CN, MCI, Dementia proportions
     volume_dim: int = 16
     noise: float = 0.02
     rules: RuleConfig = field(default_factory=RuleConfig)
@@ -46,23 +44,11 @@ class CohortConfig:
     def __post_init__(self):
         if self.n_patients < 1:
             raise ValidationError("n_patients must be >= 1")
+        if len(self.label_mix) != len(LABELS) or min(self.label_mix) < 0:
+            raise ValidationError(f"label_mix must hold one nonnegative number per label in {list(LABELS)}")
         if abs(sum(self.label_mix) - 1.0) > 1e-9:
             raise ValidationError("label_mix must sum to 1")
-        if isinstance(self.rules, dict):
-            self.rules = RuleConfig.from_json(self.rules)
         self.label_mix = tuple(float(x) for x in self.label_mix)
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["label_mix"] = list(self.label_mix)
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CohortConfig":
-        d = dict(d)
-        if "label_mix" in d:
-            d["label_mix"] = tuple(d["label_mix"])
-        return cls(**d)
 
 
 def _trunc_normal(rng, mean, std, lo, hi) -> float:
@@ -287,14 +273,8 @@ class GroundingRow:
     mask_file: str | None = None
 
     def to_json(self) -> dict:
-        d = {"patient_id": self.patient_id, "sentence": self.sentence, "evidence_ids": self.evidence_ids}
-        if self.mask_file:
-            d["mask_file"] = self.mask_file
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "GroundingRow":
-        return cls(**tensorio.dataclass_fields(cls, d))
+        """The fields, without ``mask_file`` when the row has none."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def render_gold_report(p: PatientRecord, rules: RuleConfig):
@@ -392,10 +372,8 @@ def generate_cohort(cfg: CohortConfig, out_dir: str | Path, *, seed: int) -> dic
         records.append(record)
         grounding_rows.extend(rows)
 
-    write_records(out / "records.jsonl", records)
-    with open(out / "grounding.jsonl", "w") as fh:
-        for row in grounding_rows:
-            fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
+    tensorio.write_json_lines(out / "records.jsonl", (r.to_json() for r in records))
+    tensorio.write_json_lines(out / "grounding.jsonl", (row.to_json() for row in grounding_rows))
     written += ["records.jsonl", "grounding.jsonl"]
 
     n = cfg.n_patients
@@ -410,7 +388,7 @@ def generate_cohort(cfg: CohortConfig, out_dir: str | Path, *, seed: int) -> dic
     cfg.rules.save(out / "rules.json")
     written += ["split.json", "rules.json"]
 
-    manifest = {"seed": seed, "config": cfg.to_json(), "files": {}}
+    manifest = {"seed": seed, "config": asdict(cfg), "files": {}}
     for rel in sorted(written):
         manifest["files"][rel] = tensorio.file_sha256(out / rel)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -432,8 +410,8 @@ class Cohort:
         root = Path(root)
         if not (root / "records.jsonl").exists():
             raise FileNotFoundError(f"no cohort at {root}")
-        records = {r.id: r for r in read_records(root / "records.jsonl")}
-        grounding = list(tensorio.read_json_lines(root / "grounding.jsonl", GroundingRow.from_json))
+        records = {r.id: r for r in tensorio.read_json_lines(root / "records.jsonl", PatientRecord)}
+        grounding = list(tensorio.read_json_lines(root / "grounding.jsonl", GroundingRow))
         split = tensorio.read_json_object(root / "split.json")
         rules = RuleConfig.load(root / "rules.json")
         cohort = cls(root, records, grounding, split, rules)
@@ -451,10 +429,8 @@ class Cohort:
                 raise ValidationError(f"{split_path}: {name!r} must be a list of known patient ids")
         evidence = {pid: {e.id for e in r.evidence} for pid, r in self.records.items()}
         for number, row in enumerate(self.grounding, 1):
-            known = evidence.get(row.patient_id) if isinstance(row.patient_id, str) else None
-            if known is None or not isinstance(row.evidence_ids, list) or not all(
-                isinstance(e, str) and e in known for e in row.evidence_ids
-            ):
+            known = evidence.get(row.patient_id)
+            if known is None or not known.issuperset(row.evidence_ids):
                 raise ValidationError(f"{rows_path}: row {number} names an unknown patient or evidence")
         grounded = {row.patient_id for row in self.grounding}
         missing = [p for ids in self.split.values() for p in ids if p not in grounded]

@@ -1,9 +1,9 @@
-"""Top-level run configuration: nested per-module configs with JSON
-round-trip and partial-override merging."""
+"""Top-level run configuration: nested per-module configs, read from a
+partial JSON override by ``tensorio.from_json``."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cohort import CohortConfig
@@ -12,7 +12,7 @@ from .errors import ValidationError
 from .grounding import GrounderConfig
 from .policy import RftConfig
 from .pretrain import PretrainConfig
-from .tensorio import read_json_object
+from .tensorio import from_json, read_json_object
 
 
 def check_seed(value, name: str = "seed") -> int:
@@ -24,45 +24,17 @@ def check_seed(value, name: str = "seed") -> int:
 
 @dataclass
 class RunConfig:
-    seed: int = 0
+    seed: int = field(default=0, metadata={"from_json": check_seed})
     cohort: CohortConfig = field(default_factory=CohortConfig)
     grounder: GrounderConfig = field(default_factory=GrounderConfig)
     distill: DistillConfig = field(default_factory=DistillConfig)
     rft: RftConfig = field(default_factory=RftConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
 
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["cohort"] = self.cohort.to_json()
-        return d
-
     @classmethod
-    def from_json(cls, overrides: dict) -> "RunConfig":
-        """Build from a possibly partial dict; unknown keys are rejected."""
-        cfg = cls()
-        sections = {
-            "cohort": CohortConfig,
-            "grounder": GrounderConfig,
-            "distill": DistillConfig,
-            "rft": RftConfig,
-            "pretrain": PretrainConfig,
-        }
-        for key, value in overrides.items():
-            if key == "seed":
-                cfg.seed = check_seed(value)
-            elif key in sections:
-                base = asdict(getattr(cfg, key))
-                unknown = set(value) - set(base)
-                if unknown:
-                    raise ValidationError(f"unknown keys in {key}: {sorted(unknown)}")
-                base.update(value)
-                try:
-                    setattr(cfg, key, sections[key](**base))
-                except TypeError as exc:
-                    raise ValidationError(f"bad {key} config: {exc}") from exc
-            else:
-                raise ValidationError(f"unknown config section {key!r}")
-        return cfg
+    def from_json(cls, overrides) -> "RunConfig":
+        """Build from a possibly partial JSON object; absent keys keep their defaults."""
+        return from_json(cls, overrides)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":

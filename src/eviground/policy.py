@@ -144,6 +144,15 @@ def _check_ref_probs(ref_probs: np.ndarray) -> None:
         raise DimMismatchError(f"ref_probs must have shape ({N_CHOICES},), got {ref_probs.shape}")
 
 
+def _log_probs(p: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Log-probability of the rollout whose choice positions are ``chosen``,
+    or of each rollout if ``chosen`` has one row per rollout: the sum of its
+    slots' floored log-probabilities. ``log_prob``, ``sample`` and
+    ``grpo_loss`` all score rollouts with it, so the policy that drew a
+    rollout scores it at a ratio of exactly 1."""
+    return np.log(np.maximum(p[chosen], LOG_PROB_FLOOR)).sum(axis=-1)
+
+
 def _chosen(choices: dict[str, int]) -> np.ndarray:
     """Positions of a rollout's choices among the 43."""
     return _SLOT_START + [choices[name] for name in _SLOT_NAMES]
@@ -186,8 +195,7 @@ class ReportPolicy:
         return (e / e.sum(axis=1, keepdims=True))[_IN_SLOT]
 
     def log_prob(self, choices: dict[str, int], features: np.ndarray) -> float:
-        p = self.probs(features)[_chosen(choices)]
-        return sum(np.log(np.maximum(p, LOG_PROB_FLOOR)).tolist())
+        return float(_log_probs(self.probs(features), _chosen(choices)))
 
     def sample(
         self, features: np.ndarray, rng, g: int
@@ -206,7 +214,7 @@ class ReportPolicy:
         cdf /= cdf[:, -1:]
         u = rng.random((g, N_SLOTS))
         picks = np.count_nonzero(cdf <= u[:, :, None], axis=2)
-        logps = np.log(p[_SLOT_START + picks]).sum(axis=1)
+        logps = _log_probs(p, _SLOT_START + picks)
         return [
             (dict(zip(_SLOT_NAMES, row)), logp)
             for row, logp in zip(picks.tolist(), logps.tolist())
@@ -361,9 +369,7 @@ def grpo_loss(
     if group.rollouts:
         g = len(group.rollouts)
         chosen = np.array([rollout.chosen for rollout in group.rollouts])
-        # the sum ``sample`` takes for ``old_logprob``: the policy that drew a
-        # rollout scores it at a ratio of exactly 1
-        new_lps = np.log(p[chosen]).sum(axis=1).tolist()
+        new_lps = _log_probs(p, chosen).tolist()
         coeffs = []
         for rollout, new_lp in zip(group.rollouts, new_lps):
             delta = new_lp - rollout.old_logprob

@@ -1,13 +1,10 @@
-"""Patient records and clinical evidence items, with JSONL serialization."""
+"""Patient records and clinical evidence items."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ValidationError
-from .tensorio import dataclass_fields, read_json_lines
 
 LABELS = ("CN", "MCI", "Dementia")
 EVIDENCE_CATEGORIES = (
@@ -46,13 +43,13 @@ class EvidenceItem:
 class PatientRecord:
     id: str
     demographics: dict  # age, sex, education_years
-    cognition: dict  # per-domain composite z-scores, higher is better
-    biomarkers: dict  # abeta, ttau, ptau in pg/mL
-    genetics: dict  # apoe allele pair, e.g. "e3/e4"
+    cognition: dict[str, float]  # per-domain composite z-scores, higher is better
+    biomarkers: dict[str, float]  # abeta, ttau, ptau in pg/mL
+    genetics: dict[str, str]  # apoe allele pair, e.g. "e3/e4"
     evidence: list[EvidenceItem] = field(default_factory=list)
     gt_label: str = "CN"
-    mask_files: dict = field(default_factory=dict)  # anatomy_ref -> relative path
-    imaging: dict = field(default_factory=dict)  # anatomy_ref -> structure volume in mm^3
+    mask_files: dict[str, str] = field(default_factory=dict)  # anatomy_ref -> relative path
+    imaging: dict[str, float] = field(default_factory=dict)  # anatomy_ref -> structure volume in mm^3
 
     def __post_init__(self):
         if self.gt_label not in LABELS:
@@ -71,20 +68,3 @@ class PatientRecord:
         d = dict(vars(self))
         d["evidence"] = [dict(vars(e)) for e in self.evidence]
         return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "PatientRecord":
-        d = dict(dataclass_fields(cls, d))
-        evidence = d.get("evidence", [])
-        d["evidence"] = [EvidenceItem(**dataclass_fields(EvidenceItem, e)) for e in evidence]
-        return cls(**d)
-
-
-def write_records(path: str | Path, records: list[PatientRecord]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-
-
-def read_records(path: str | Path) -> list[PatientRecord]:
-    return list(read_json_lines(path, PatientRecord.from_json))

@@ -11,14 +11,14 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Protocol
 
 from .errors import ValidationError
 from .records import BIOMARKERS, COGNITIVE_DOMAINS, LABELS, PatientRecord
 from .report import ClinicalReport, format_reward
-from .tensorio import read_json_object
+from .tensorio import from_json, read_json_object
 from .textenc import tokenize
 
 NIA_CAT_WEIGHT = 0.4
@@ -77,9 +77,9 @@ class RuleConfig:
     abeta_abnormal_below: float = 977.0
     ttau_abnormal_above: float = 300.0
     ptau_abnormal_above: float = 27.0
-    label_cues: dict = field(default_factory=default_label_cues)
-    domain_cues: dict = field(default_factory=default_domain_cues)
-    biomarker_cues: dict = field(default_factory=default_biomarker_cues)
+    label_cues: dict[str, list[str]] = field(default_factory=default_label_cues)
+    domain_cues: dict[str, list[str]] = field(default_factory=default_domain_cues)
+    biomarker_cues: dict[str, list[str]] = field(default_factory=default_biomarker_cues)
     w_format: float = 0.2
     w_nia: float = 0.5
     w_consistency: float = 0.3
@@ -91,13 +91,7 @@ class RuleConfig:
         if min(self.abeta_abnormal_below, self.ttau_abnormal_above, self.ptau_abnormal_above) <= 0:
             raise ValidationError("thresholds must be positive")
         for name in ("label_cues", "domain_cues", "biomarker_cues"):
-            cues = getattr(self, name)
-            if not isinstance(cues, dict) or not all(
-                isinstance(k, str) and isinstance(v, list) and all(isinstance(c, str) for c in v)
-                for k, v in cues.items()
-            ):
-                raise ValidationError(f"{name} must map strings to lists of strings")
-            for cue in (c for v in cues.values() for c in v):
+            for cue in (c for v in getattr(self, name).values() for c in v):
                 if not cue:
                     raise ValidationError(f"{name} holds an empty cue")
                 if cue != cue.lower():  # reward text is lowercased before matching
@@ -117,25 +111,12 @@ class RuleConfig:
     def max_total(self) -> float:
         return self.w_format + self.w_nia + self.w_consistency
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "RuleConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown keys in rules: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as exc:  # a threshold or weight that is not a number
-            raise ValidationError(f"bad rules: {exc}") from exc
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "RuleConfig":
-        return cls.from_json(read_json_object(path))
+        return from_json(cls, read_json_object(path), "rules")
 
 
 @dataclass(frozen=True)
@@ -147,9 +128,6 @@ class RewardBreakdown:
     r_nia: float
     r_consistency: float
     total: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 # --- shared staging rule (generator contract) --------------------------------

@@ -441,22 +441,13 @@ class SegDecoder:
     # --- checkpoints ------------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        meta = {
-            "kind": "segdecoder",
-            "volume_dim": self.cfg.volume_dim,
-            "patch": self.cfg.patch,
-            "token_dim": self.cfg.token_dim,
-            "layers": self.cfg.layers,
-            "ffn_hidden": self.cfg.ffn_hidden,
-            "seed": self.cfg.seed,
-        }
+        meta = {"kind": "segdecoder", **dataclasses.asdict(self.cfg)}
         tensorio.save_params(directory, self.params, meta)
 
     @classmethod
     def load(cls, directory: str | Path) -> "SegDecoder":
         """Rebuild a saved decoder; its tensors must match the config's layout."""
-        fields = [f.name for f in dataclasses.fields(SegDecoderConfig)]
-        params, meta = tensorio.load_params(directory, fields)
+        params, meta = tensorio.load_params(directory, [f.name for f in dataclasses.fields(SegDecoderConfig)])
         dec = cls(SegDecoderConfig(**meta))
         tensorio.copy_params(params, dec.params, directory)
         return dec

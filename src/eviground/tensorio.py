@@ -14,6 +14,8 @@ import hashlib
 import json
 import math
 import struct
+import types
+import typing
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
@@ -95,11 +97,20 @@ def read_text(path: str | Path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# Python's json reads NaN and Infinity as floats, which pass every range check
+# (NaN compares false); JSON has neither
+_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def read_json_object(path: str | Path) -> dict:
     """Parse a JSON file whose top level must be an object."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = _JSON.decode(fh.read())
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ValidationError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -107,48 +118,129 @@ def read_json_object(path: str | Path) -> dict:
     return data
 
 
-def read_json_lines(path: str | Path, convert: Callable) -> Iterator:
-    """Yield ``convert(value)`` for the JSON value of each non-blank line of a
-    JSON Lines file; a ``ValidationError`` names the file and the line."""
-    with open(path, "rb") as fh:  # json.loads decodes bytes, so bad UTF-8 is a ValueError too
+def write_json_lines(path: str | Path, values) -> None:
+    """One JSON value per line, keys sorted."""
+    with open(path, "w") as fh:
+        for value in values:
+            fh.write(json.dumps(value, sort_keys=True) + "\n")
+
+
+def read_json_lines(path: str | Path, cls) -> Iterator:
+    """Yield the JSON value of each non-blank line of a JSON Lines file as
+    dataclass ``cls`` (``from_json``); a ``ValidationError`` names the file
+    and the line."""
+    with open(path, "rb") as fh:  # decoding each line makes bad UTF-8 a ValueError too
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                value = json.loads(line)
+                value = _JSON.decode(line.decode())
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise ValidationError(f"{path}: line {number} is not JSON ({exc})") from exc
             try:
-                yield convert(value)
+                yield from_json(cls, value)
             except ValidationError as exc:
                 raise ValidationError(f"{path}: line {number}: {exc}") from exc
 
 
+# JSON types that each plain field type accepts, and its name in messages: a
+# bool is never a number and a number never a bool; an int in a float field stays an int
+_PLAIN = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    dict: ((dict,), "a JSON object"),
+}
+
+
+def _in(where: str) -> str:
+    return f" in {where}" if where else ""
+
+
+def _wrong(expected: str, value, where: str):
+    shown = {dict: "an object", list: "an array"}.get(type(value)) or json.dumps(value, default=repr)
+    raise ValidationError(f"wrong type{_in(where)}: expected {expected}, got {shown}")
+
+
 @functools.cache
-def _field_names(cls) -> tuple[frozenset, frozenset]:
-    """(all, required) field names of dataclass ``cls``."""
-    fields = dataclasses.fields(cls)
-    required = (
-        f.name
-        for f in fields
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-    )
-    return frozenset(f.name for f in fields), frozenset(required)
+def _schema(cls) -> tuple[dict, dict, frozenset]:
+    """Direct types and reader (as ``_reader`` gives them) of each init field
+    of dataclass ``cls``, and the required names. A field's
+    ``metadata["from_json"]``, if set, reads every value of it instead."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    direct, readers = {}, {}
+    for f in fields:
+        hook = f.metadata.get("from_json")
+        direct[f.name], readers[f.name] = ((), hook) if hook else _reader(hints[f.name])
+    missing = dataclasses.MISSING
+    required = frozenset(f.name for f in fields if f.default is missing and f.default_factory is missing)
+    return direct, readers, required
 
 
-def dataclass_fields(cls, value) -> dict:
-    """``value`` as keyword arguments of dataclass ``cls``: it must be a JSON
-    object with every required field and no unknown one."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"expected a JSON object, got {type(value).__name__}")
-    names, required = _field_names(cls)
-    keys = value.keys()
-    if keys >= required and keys <= names:
-        return value
-    missing = sorted(required - keys)
-    if missing:
-        raise ValidationError(f"{cls.__name__} is missing fields {missing}")
-    raise ValidationError(f"{cls.__name__} has unknown fields {sorted(keys - names)}")
+@functools.cache
+def _reader(hint) -> tuple[tuple, Callable]:
+    """``(direct, read)`` for type ``hint``: a parsed JSON value whose type is
+    in ``direct`` is already a ``hint``; ``read(value, where)`` checks any
+    other value and builds it as a ``hint``, or names its path ``where``
+    in a ``ValidationError``. Callers test ``direct`` first, so the many
+    plain values cost no call."""
+    if hint in _PLAIN:
+        accepted, expected = _PLAIN[hint]
+        return accepted, functools.partial(_wrong, expected)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType and args[1:] == (type(None),) and args[0] in _PLAIN:
+        accepted, expected = _PLAIN[args[0]]
+        return (*accepted, type(None)), functools.partial(_wrong, f"{expected} or null")
+    if dataclasses.is_dataclass(hint):
+        direct, readers, required = _schema(hint)
+        names = readers.keys()
+
+        def read(value, where):
+            if type(value) is not dict:
+                _wrong("a JSON object", value, where)
+            keys = value.keys()
+            if not keys <= names:
+                raise ValidationError(f"unknown keys{_in(where)}: {sorted(keys - names)}")
+            if not keys >= required:
+                raise ValidationError(f"missing keys{_in(where)}: {sorted(required - keys)}")
+            return hint(**{
+                k: v if type(v) in direct[k] else readers[k](v, f"{where}.{k}" if where else k)
+                for k, v in value.items()
+            })
+
+    elif origin is dict and args[0] is str:
+        direct, item = _reader(args[1])
+
+        def read(value, where):
+            if type(value) is not dict:
+                _wrong("a JSON object", value, where)
+            return {k: v if type(v) in direct else item(v, f"{where}.{k}") for k, v in value.items()}
+
+    elif origin is list or (origin is tuple and args[1:] == (...,)):
+        direct, item = _reader(args[0])
+
+        def read(value, where):
+            if type(value) is not list:
+                _wrong("a JSON array", value, where)
+            return origin(
+                [v if type(v) in direct else item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+            )
+
+    else:
+        raise TypeError(f"no JSON reader for type {hint!r}")
+    return (), read
+
+
+def from_json(cls, value, where: str = ""):
+    """Parsed JSON ``value`` as an instance of dataclass ``cls``, built from
+    its field types: nested dataclasses, ``X | None``, ``list[X]``,
+    ``tuple[X, ...]``, ``dict[str, X]`` and the plain JSON types. Absent
+    fields keep their defaults. A value that is not an object, an unknown or
+    missing key, or a value of the wrong type is a one-line
+    ``ValidationError`` naming its path, which starts at ``where``."""
+    return _reader(cls)[1](value, where)
 
 
 def load_params(directory: str | Path, meta_keys) -> tuple[dict[str, np.ndarray], dict]:

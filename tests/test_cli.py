@@ -7,6 +7,8 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import eviground
 from eviground import tensorio
 from eviground.cli import _build_parser, cli_main
 from eviground.cohort import Cohort
+from eviground.config import RunConfig
 from eviground.distill import DistillConfig, label_efficiency_experiment
 from eviground.grounding import GrounderConfig
 from eviground.metrics import write_rows_csv
@@ -450,6 +453,79 @@ def test_config_section_seed_exits_1(tmp_path, capsys, section):
     assert f"unknown keys in {section}: ['seed']" in _one_line_error(capsys)
 
 
+def _config_fields():
+    """(path, default) of every field of every run-config section and of cohort.rules."""
+    cfg = RunConfig()
+    for section in ("cohort", "cohort.rules", "grounder", "distill", "rft", "pretrain"):
+        obj = attrgetter(section)(cfg)
+        for f in fields(obj):
+            yield f"{section}.{f.name}", getattr(obj, f.name)
+
+
+# one value of each JSON type, by the kind of value a field's default is
+_JSON_SAMPLES = {"bool": True, "int": 3, "float": 0.5, "string": "x", "array": [], "object": {}, "null": None}
+
+
+def _json_kind(value) -> str:
+    kinds = (("bool", bool), ("int", int), ("float", float), ("string", str), ("array", (list, tuple)))
+    for kind, types in kinds:  # bool first: a bool is an int to isinstance
+        if isinstance(value, types):
+            return kind
+    return "object"  # a dict or a nested config
+
+
+@pytest.mark.parametrize("path, default", [pytest.param(*f, id=f[0]) for f in _config_fields()])
+def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, path, default):
+    # built from the dataclass fields, so a field added later is covered too
+    kind = _json_kind(default)
+    accepted = {kind, "int"} if kind == "float" else {kind}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "c"
+    for value in (v for k, v in _JSON_SAMPLES.items() if k not in accepted):
+        doc = value
+        for key in reversed(path.split(".")):
+            doc = {key: doc}
+        cfg.write_text(json.dumps(doc))
+        argv = ["generate-cohort", "--out", str(out), "--n", "4", "--config", str(cfg)]
+        assert cli_main(argv) == 1, value
+        assert path in _one_line_error(capsys), value
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rft": {"beta": NaN}}',
+        '{"pretrain": {"lambda_res": Infinity}}',
+        '{"cohort": {"rules": {"w_nia": NaN}}}',
+    ],
+)
+def test_config_nan_or_infinity_exits_1(tmp_path, capsys, text):
+    # both pass every range check, as NaN compares false, and JSON has neither
+    cfg, out = tmp_path / "cfg.json", tmp_path / "c"
+    cfg.write_text(text)
+    argv = ["generate-cohort", "--out", str(out), "--n", "4", "--config", str(cfg)]
+    assert cli_main(argv) == 1
+    assert "is not a JSON number" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "label_mix, words",
+    [
+        ([0.5, 0.5], "one nonnegative number per label"),
+        ([0.25, 0.25, 0.25, 0.25], "one nonnegative number per label"),
+        ([1.5, -0.5, 0.0], "one nonnegative number per label"),
+        ([0.5, "x", 0.5], "cohort.label_mix[1]"),
+    ],
+)
+def test_config_bad_label_mix_exits_1(tmp_path, capsys, label_mix, words):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "c"
+    cfg.write_text(json.dumps({"cohort": {"label_mix": label_mix}}))
+    assert cli_main(["generate-cohort", "--out", str(out), "--n", "4", "--config", str(cfg)]) == 1
+    assert words in _one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_generate_cohort_nonpositive_n_exits_1(tmp_path, capsys, n):
     assert cli_main(["generate-cohort", "--out", str(tmp_path / "c"), "--n", n]) == 1
@@ -565,6 +641,31 @@ def test_train_grpo_cohort_line_missing_fields_exits_1(
     assert code == 1
     err = _one_line_error(capsys)
     assert name in err and field in err
+
+
+@pytest.mark.parametrize(
+    "name, change, path",
+    [
+        ("records.jsonl", {"biomarkers": [1]}, "biomarkers"),
+        ("records.jsonl", {"cognition": {"memory": "low"}}, "cognition.memory"),
+        ("records.jsonl", {"evidence": [{"id": "x", "descriptor": "d", "source_field": "s", "category": 5}]},
+         "evidence[0].category"),
+        ("grounding.jsonl", {"evidence_ids": "demo"}, "evidence_ids"),
+        ("grounding.jsonl", {"mask_file": 3}, "mask_file"),
+    ],
+)
+def test_train_grpo_cohort_line_wrong_type_exits_1(tmp_path, cohort_dir, capsys, name, change, path):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    lines = (cohort / name).read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **change})
+    (cohort / name).write_text("\n".join(lines) + "\n")
+    code = cli_main(
+        ["train-grpo", "--cohort", str(cohort), "--out", str(tmp_path / "o"), "--iters", "2"]
+    )
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert f"{name}: line 1: " in err and path in err
 
 
 def _edit_split(change):
@@ -689,6 +790,22 @@ def test_eval_consistency_from_reports_dir(tmp_path, cohort_dir):
         line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]
     )
     assert float(rows["accuracy"]) == 1.0  # gold reports
+
+
+def test_eval_consistency_missing_report_exits_2(tmp_path, cohort_dir, capsys):
+    # a split patient without a report fails the run; it does not shrink the sample
+    reports = tmp_path / "reports"
+    shutil.copytree(cohort_dir / "reports", reports)
+    pid = Cohort.load(cohort_dir).split["test"][-1]
+    (reports / f"{pid}.txt").unlink()
+    out = tmp_path / "o"
+    code = cli_main(
+        ["eval-consistency", "--cohort", str(cohort_dir), "--out", str(out), "--reports", str(reports)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1 and f"{pid}.txt" in err, err
+    assert not out.exists()
 
 
 def test_eval_consistency_requires_source(tmp_path, cohort_dir):

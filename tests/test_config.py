@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -61,10 +61,22 @@ def test_invalid_value_rejected():
 
 def test_json_roundtrip():
     cfg = RunConfig.from_json({"seed": 4, "cohort": {"n_patients": 12}})
-    again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+    again = RunConfig.from_json(json.loads(json.dumps(asdict(cfg))))
     assert again.seed == 4
     assert again.cohort.n_patients == 12
     assert again.cohort.rules == cfg.cohort.rules
+
+
+def test_int_in_float_field_is_kept_as_int():
+    # run.json records the value as it was written
+    cfg = RunConfig.from_json({"rft": {"lr": 1}, "cohort": {"rules": {"w_nia": 1}}})
+    assert type(cfg.rft.lr) is int and type(cfg.cohort.rules.w_nia) is int
+    assert json.dumps(asdict(cfg)["rft"]["lr"]) == "1"
+
+
+def test_unknown_rules_key_names_its_path():
+    with pytest.raises(ValidationError, match=r"unknown keys in cohort\.rules: \['w_fromat'\]"):
+        RunConfig.from_json({"cohort": {"rules": {"w_fromat": 0.2}}})
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "3", True, None])

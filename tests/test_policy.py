@@ -27,6 +27,17 @@ class TestSampleGroup:
         assert [r.text for r in a.rollouts] == [r.text for r in b.rollouts]
         assert [r.old_logprob for r in a.rollouts] == [r.old_logprob for r in b.rollouts]
 
+    def test_log_prob_is_sample_old_logprob_bitwise(self):
+        # one rule scores a rollout everywhere, so a fresh rollout's ratio is exactly 1
+        pol = P.ReportPolicy()
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            for view in pol.params.values():
+                view[...] = rng.normal(0, 1.0, view.shape)
+            features = rng.normal(size=P.FEATURE_DIM)
+            for choices, old_logprob in pol.sample(features, rng, 4):
+                assert pol.log_prob(choices, features) == old_logprob
+
     def test_near_deterministic_policy_collapses(self, patient):
         pol = P.ReportPolicy()
         for name, _ in pol.slots:

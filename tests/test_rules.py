@@ -262,6 +262,12 @@ class TestStageRule:
         assert back == cfg
 
 
+    def test_unknown_rules_key_is_named(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text('{"w_format": 0.2, "w_fromat": 0.2}')
+        with pytest.raises(ValidationError, match=r"^unknown keys in rules: \['w_fromat'\]$"):
+            RuleConfig.load(path)
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -1,12 +1,21 @@
 """Binary tensor format round-trips and failure modes."""
 
 import json
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pytest
 
 from eviground import tensorio
+from eviground.cohort import CohortConfig, GroundingRow
+from eviground.config import RunConfig
+from eviground.distill import DistillConfig
 from eviground.errors import ValidationError
+from eviground.grounding import GrounderConfig
+from eviground.policy import RftConfig
+from eviground.pretrain import PretrainConfig
+from eviground.records import EvidenceItem, PatientRecord
+from eviground.rules import RuleConfig
 
 
 def test_roundtrip_single_precision(tmp_path):
@@ -93,3 +102,95 @@ def test_manifest_without_params_rejected(tmp_path):
     manifest.write_text(json.dumps({"kind": "test"}))
     with pytest.raises(ValidationError, match="params"):
         tensorio.load_params(tmp_path / "ckpt", ())
+
+
+@dataclass
+class _Inner:
+    n: int
+    x: float = 0.5
+
+
+@dataclass
+class _Doc:
+    name: str
+    flag: bool = False
+    note: str | None = None
+    tags: list[str] = field(default_factory=list)
+    pair: tuple[float, ...] = (0.0, 1.0)
+    table: dict[str, float] = field(default_factory=dict)
+    inner: _Inner = field(default_factory=lambda: _Inner(1))
+    items: list[_Inner] = field(default_factory=list)
+
+
+def test_from_json_builds_nested_fields_and_keeps_defaults():
+    doc = tensorio.from_json(
+        _Doc,
+        {"name": "a", "note": None, "pair": [1, 2.5], "inner": {"n": 2}, "items": [{"n": 3, "x": 1}]},
+    )
+    assert doc == _Doc("a", pair=(1, 2.5), inner=_Inner(2), items=[_Inner(3, 1)])
+    assert type(doc.pair) is tuple
+    assert type(doc.items[0].x) is int  # an int in a float field is kept, not converted
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([], "wrong type: expected a JSON object, got an array"),
+        ({}, "missing keys: ['name']"),
+        ({"name": "a", "extra": 1}, "unknown keys: ['extra']"),
+        ({"name": 1}, "wrong type in name: expected a string, got 1"),
+        ({"name": None}, "wrong type in name: expected a string, got null"),
+        ({"name": "a", "note": 5}, "wrong type in note: expected a string or null, got 5"),
+        ({"name": "a", "flag": 1}, "wrong type in flag: expected true or false, got 1"),
+        ({"name": "a", "tags": "t"}, 'wrong type in tags: expected a JSON array, got "t"'),
+        ({"name": "a", "tags": ["t", {}]}, "wrong type in tags[1]: expected a string, got an object"),
+        ({"name": "a", "pair": [0.5, False]}, "wrong type in pair[1]: expected a number, got false"),
+        ({"name": "a", "table": {"k": "1"}}, 'wrong type in table.k: expected a number, got "1"'),
+        ({"name": "a", "inner": {"n": True}}, "wrong type in inner.n: expected an integer, got true"),
+        ({"name": "a", "inner": {"n": 1.0}}, "wrong type in inner.n: expected an integer, got 1.0"),
+        ({"name": "a", "inner": {"n": 1, "m": 2}}, "unknown keys in inner: ['m']"),
+        ({"name": "a", "items": [{"n": 1}, {"x": 1}]}, "missing keys in items[1]: ['n']"),
+    ],
+)
+def test_from_json_rejects_in_one_line_naming_the_key(value, message):
+    with pytest.raises(ValidationError) as info:
+        tensorio.from_json(_Doc, value)
+    assert str(info.value) == message
+
+
+def test_from_json_paths_start_at_where():
+    with pytest.raises(ValidationError, match=r"^missing keys in doc\.inner: \['n'\]$"):
+        tensorio.from_json(_Doc, {"name": "a", "inner": {}}, "doc")
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        RunConfig,
+        CohortConfig,
+        RuleConfig,
+        GrounderConfig,
+        DistillConfig,
+        RftConfig,
+        PretrainConfig,
+        PatientRecord,
+        EvidenceItem,
+        GroundingRow,
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_schema_resolves_for_every_class_read_from_json(cls):
+    direct, readers, required = tensorio._schema(cls)
+    assert direct.keys() == readers.keys() == {f.name for f in fields(cls)}
+    assert required <= readers.keys()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_json_readers_reject_nan_and_infinity(tmp_path, constant):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"x": {constant}}}')
+    with pytest.raises(ValidationError, match=f"not JSON \\({constant} is not a JSON number\\)"):
+        tensorio.read_json_object(path)
+    path.write_text(f'{{"name": "a", "table": {{"k": {constant}}}}}\n')
+    with pytest.raises(ValidationError, match="line 1 is not JSON"):
+        list(tensorio.read_json_lines(path, _Doc))
