@@ -66,7 +66,7 @@ def distill_loss(teacher_p: np.ndarray, student_logits: np.ndarray, tau_d: float
     respect to the student logits only, is per row and divided by n. A 1-D
     call divides by n = 1, which is exact.
     """
-    q = np.asarray(teacher_p, dtype=np.float64)
+    q = np.array(teacher_p, dtype=np.float64)  # a copy, read by the backward
     z = np.asarray(student_logits, dtype=np.float64)
     if q.shape != z.shape:
         raise ValidationError(f"length mismatch: {q.shape} vs {z.shape}")
@@ -75,11 +75,15 @@ def distill_loss(teacher_p: np.ndarray, student_logits: np.ndarray, tau_d: float
     n = q.shape[0] if q.ndim == 2 else 1
     p = softmax(z, temperature=tau_d)
     value = tau_d * tau_d * kl_divergence(q, p) / n
-    # only terms with q_i > 0 and p_i above the floor contribute to the value
-    active = (q > 0) & (p > PROB_FLOOR)
-    q_active = np.where(active, q, 0.0)
-    grad = tau_d * (p * q_active.sum(axis=-1, keepdims=True) - q_active) / n
-    return LossWithGrad(value, {"student_logits": grad})
+
+    def backward():
+        # only terms with q_i > 0 and p_i above the floor contribute to the value
+        active = (q > 0) & (p > PROB_FLOOR)
+        q_active = np.where(active, q, 0.0)
+        grad = tau_d * (p * q_active.sum(axis=-1, keepdims=True) - q_active) / n
+        return {"student_logits": grad}
+
+    return LossWithGrad(value, backward)
 
 
 def teacher_evidence_distribution(

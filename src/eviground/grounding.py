@@ -46,7 +46,8 @@ class GroundingBatch:
 
 
 def _directional_terms(kap: np.ndarray, pos: np.ndarray, tau: float):
-    """Anchor-averaged NLL terms for one direction plus d(loss)/d(similarity).
+    """Anchor-averaged NLL terms for one direction, and a function that
+    returns d(loss)/d(similarity).
 
     ``kap`` is (n_anchors, n_candidates) of exp(sim/tau) and ``pos`` the bool
     mask of each anchor's positives; the other columns are its negatives.
@@ -60,9 +61,12 @@ def _directional_terms(kap: np.ndarray, pos: np.ndarray, tau: float):
     w = pos / n_pos
     ratio = kap / denom
     loss = -(w * np.log(np.where(pos, ratio, 1.0))).sum() / n
-    # d(-log(k_ij / D_ij)) / d sim: (k_ij/D_ij - 1)/tau at the positive j,
-    # k_ik/(D_ij*tau) at every negative k
-    grad = (w * (ratio - 1.0) + neg * (w / denom).sum(axis=1, keepdims=True)) / (tau * n)
+
+    def grad():
+        # d(-log(k_ij / D_ij)) / d sim: (k_ij/D_ij - 1)/tau at the positive j,
+        # k_ik/(D_ij*tau) at every negative k
+        return (w * (ratio - 1.0) + neg * (w / denom).sum(axis=1, keepdims=True)) / (tau * n)
+
     return float(loss), grad
 
 
@@ -70,17 +74,21 @@ def infonce_from_features(
     feat_s: np.ndarray, feat_e: np.ndarray, pos: np.ndarray, emb, tau: float
 ) -> LossWithGrad:
     """Feature-level core of the loss; lets trainers reuse cached features
-    and the batch's positive mask."""
-    v_s, cache_s = emb.encode_features(feat_s)
-    v_e, cache_e = emb.encode_features(feat_e)
+    and the batch's positive mask. The features are copied: the encode
+    caches keep them for the backward."""
+    v_s, cache_s = emb.encode_features(np.array(feat_s))
+    v_e, cache_e = emb.encode_features(np.array(feat_e))
     kap = np.exp(v_s @ v_e.T / tau)
 
     loss_se, grad_se = _directional_terms(kap, pos, tau)
     loss_es, grad_es = _directional_terms(kap.T, pos.T, tau)
 
-    g_sim = grad_se + grad_es.T  # d(loss)/d(sim matrix)
-    grad = emb.backward_texts(cache_s, g_sim @ v_e) + emb.backward_texts(cache_e, g_sim.T @ v_s)
-    return LossWithGrad(loss_se + loss_es, {"flat": grad})
+    def backward():
+        g_sim = grad_se() + grad_es().T  # d(loss)/d(sim matrix)
+        g_s = emb.backward_texts(cache_s, g_sim @ v_e)
+        return {"flat": g_s + emb.backward_texts(cache_e, g_sim.T @ v_s)}
+
+    return LossWithGrad(loss_se + loss_es, backward)
 
 
 def multi_positive_infonce(batch: GroundingBatch, emb, tau: float = 0.07) -> LossWithGrad:

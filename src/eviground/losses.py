@@ -1,14 +1,18 @@
 """Elementary differentiable losses with analytic gradients.
 
 Every loss that trains something returns a :class:`LossWithGrad` whose
-``grads`` map is keyed by parameter name. Backward passes are derived by
-hand; :func:`finite_difference_check` is the oracle used to verify them.
-All arithmetic is double precision.
+``grads`` map is keyed by parameter name. A loss computes its value when
+called and builds its gradients on the first read of ``grads``, so a
+caller that needs only values (finite differences) never pays for them.
+The backward that builds them reads only arrays its own loss call
+allocated: what it needs from a caller-owned input is taken or copied at
+call time, because the caller may change that input in place afterwards.
+Backward passes are derived by hand; :func:`finite_difference_check` is
+the oracle used to verify them. All arithmetic is double precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,12 +24,31 @@ PROB_FLOOR = 1e-9
 DICE_SMOOTHING = 1e-5
 
 
-@dataclass
 class LossWithGrad:
-    """Scalar loss value plus gradients keyed by parameter name."""
+    """Scalar loss value plus gradients keyed by parameter name.
 
-    value: float
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
+    ``backward`` takes no argument and returns the gradients; it runs on the
+    first read of ``grads``, whose dict is then cached. It must read only
+    arrays that its own loss call allocated: a caller may change its inputs
+    in place after the call (finite differences perturb them), so a loss
+    takes what its backward needs from a caller-owned input at call time,
+    or copies it (``dice_bce_loss`` copies ``gt``, ``token_nll`` its targets,
+    ``itc_loss`` both feature batches and ``distill_loss`` the teacher row).
+    """
+
+    __slots__ = ("value", "_backward", "_grads")
+
+    def __init__(self, value: float, backward: Callable[[], dict[str, np.ndarray]]):
+        self.value = value
+        self._backward = backward
+        self._grads = None
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        if self._grads is None:
+            self._grads = self._backward()
+            self._backward = None  # frees the arrays it closed over
+        return self._grads
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -56,19 +79,24 @@ def token_nll(probs: np.ndarray, targets: np.ndarray) -> LossWithGrad:
     with respect to the probability entries.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = np.array(targets, dtype=np.int64)  # a copy, read by the backward
     if probs.ndim != 2 or targets.ndim != 1 or probs.shape[0] != targets.shape[0]:
         raise DimMismatchError("probs must be (steps, vocab) with one target per step")
     steps, vocab = probs.shape
     if np.any(targets < 0) or np.any(targets >= vocab):
         raise IndexOutOfRangeError("target index outside vocabulary")
-    picked = np.maximum(probs[np.arange(steps), targets], PROB_FLOOR)
+    target_probs = probs[np.arange(steps), targets]
+    picked = np.maximum(target_probs, PROB_FLOOR)
     value = float(-np.mean(np.log(picked)))
-    grad = np.zeros_like(probs)
-    # d/dp of -log(max(p, floor)) is 0 below the floor
-    active = probs[np.arange(steps), targets] > PROB_FLOOR
-    grad[np.arange(steps), targets] = np.where(active, -1.0 / (picked * steps), 0.0)
-    return LossWithGrad(value, {"probs": grad})
+
+    def backward():
+        grad = np.zeros((steps, vocab))
+        # d/dp of -log(max(p, floor)) is 0 below the floor
+        active = target_probs > PROB_FLOOR
+        grad[np.arange(steps), targets] = np.where(active, -1.0 / (picked * steps), 0.0)
+        return {"probs": grad}
+
+    return LossWithGrad(value, backward)
 
 
 def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> LossWithGrad:
@@ -78,7 +106,7 @@ def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> LossWithGrad:
     assert_same_shape(x, x_hat)
     diff = x_hat - x
     value = float(np.mean(diff * diff))
-    return LossWithGrad(value, {"x_hat": 2.0 * diff / diff.size})
+    return LossWithGrad(value, lambda: {"x_hat": 2.0 * diff / diff.size})
 
 
 def dice_score(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -119,7 +147,7 @@ def dice_bce_loss(
     if lambda_dice < 0 or lambda_bce < 0:
         raise ValueError("loss weights must be nonnegative")
     z = np.asarray(pred_logits, dtype=np.float64)
-    g = np.asarray(gt, dtype=np.float64)
+    g = np.array(gt, dtype=np.float64)  # a copy, read by the backward
     assert_same_shape(z, g)
     if z.ndim not in (3, 4):
         raise DimMismatchError(f"expected (D, D, D) or (B, D, D, D) logits, got {z.shape}")
@@ -137,13 +165,17 @@ def dice_bce_loss(
     bce = -((g * np.log(pc) + (1.0 - g) * np.log(qc)).sum(axis=1, keepdims=True) / n)
 
     values = lambda_dice * (1.0 - dice) + lambda_bce * bce
+    shape = z.shape
 
-    # d(dice)/dp = (2g*den - 2p*num) / den^2, and dp/dz = p(1-p)
-    ddice_dp = (2.0 * g * den - 2.0 * p * num) / (den * den)
-    dbce_dp = (pc - g) / (pc * qc * n)
-    dvalue_dp = -lambda_dice * ddice_dp + lambda_bce * dbce_dp
-    grad = dvalue_dp * p * (1.0 - p) / batch
-    return LossWithGrad(float(values.sum() / batch), {"pred_logits": grad.reshape(z.shape)})
+    def backward():
+        # d(dice)/dp = (2g*den - 2p*num) / den^2, and dp/dz = p(1-p)
+        ddice_dp = (2.0 * g * den - 2.0 * p * num) / (den * den)
+        dbce_dp = (pc - g) / (pc * qc * n)
+        dvalue_dp = -lambda_dice * ddice_dp + lambda_bce * dbce_dp
+        grad = dvalue_dp * p * (1.0 - p) / batch
+        return {"pred_logits": grad.reshape(shape)}
+
+    return LossWithGrad(float(values.sum() / batch), backward)
 
 
 def finite_difference_check(

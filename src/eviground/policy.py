@@ -362,15 +362,14 @@ def grpo_loss(
         raise ValidationError("beta must be nonnegative")
     _check_ref_probs(ref_probs)
     p = policy.probs(group.features)
-    grad = np.zeros(_W_SIZE + N_CHOICES)
-    dlogits = grad[_W_SIZE:]
+    features = group.features.copy()  # read by the backward
 
     surrogate = 0.0
+    coeffs = []
     if group.rollouts:
         g = len(group.rollouts)
         chosen = np.array([rollout.chosen for rollout in group.rollouts])
         new_lps = _log_probs(p, chosen).tolist()
-        coeffs = []
         for rollout, new_lp in zip(group.rollouts, new_lps):
             delta = new_lp - rollout.old_logprob
             # min/max clip exactly as np.clip does, without its per-call overhead
@@ -386,19 +385,26 @@ def grpo_loss(
             else:
                 coeff = -a * rho / g if (1.0 - epsilon) <= rho <= (1.0 + epsilon) else 0.0
             coeffs.append(coeff)
-        # sum over rollouts of coeff * (onehot(chosen) - p)
-        onehots = np.bincount(chosen.ravel(), np.repeat(coeffs, N_SLOTS), N_CHOICES)
-        dlogits += onehots - sum(coeffs) * p
 
     kl_total = 0.0
     if beta > 0.0:
         kl_slot, log_ratio = _slot_kl(p, ref_probs)
         kl_total = sum(kl_slot.tolist()) / N_SLOTS
-        dlogits += (beta / N_SLOTS) * p * (log_ratio - kl_slot[_SLOT_OF_CHOICE])
 
-    dw = grad[:_W_SIZE].reshape(N_CHOICES, FEATURE_DIM)
-    np.multiply(dlogits[:, None], group.features, out=dw)
-    return LossWithGrad(surrogate + beta * kl_total, {"flat": grad})
+    def backward():
+        grad = np.zeros(_W_SIZE + N_CHOICES)
+        dlogits = grad[_W_SIZE:]
+        if coeffs:
+            # sum over rollouts of coeff * (onehot(chosen) - p)
+            onehots = np.bincount(chosen.ravel(), np.repeat(coeffs, N_SLOTS), N_CHOICES)
+            dlogits += onehots - sum(coeffs) * p
+        if beta > 0.0:
+            dlogits += (beta / N_SLOTS) * p * (log_ratio - kl_slot[_SLOT_OF_CHOICE])
+        dw = grad[:_W_SIZE].reshape(N_CHOICES, FEATURE_DIM)
+        np.multiply(dlogits[:, None], features, out=dw)
+        return {"flat": grad}
+
+    return LossWithGrad(surrogate + beta * kl_total, backward)
 
 
 @dataclass

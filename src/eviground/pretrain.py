@@ -25,8 +25,9 @@ def itc_loss(img_feats: np.ndarray, txt_feats: np.ndarray, tau: float = 0.07) ->
 
     Rows are expected unit-normalized; similarities are plain dot products.
     """
-    f_i = np.asarray(img_feats, dtype=np.float64)
-    f_t = np.asarray(txt_feats, dtype=np.float64)
+    # copies, read by the backward
+    f_i = np.array(img_feats, dtype=np.float64)
+    f_t = np.array(txt_feats, dtype=np.float64)
     if f_i.shape != f_t.shape:
         raise DimMismatchError(f"batch shapes differ: {f_i.shape} vs {f_t.shape}")
     b = f_i.shape[0]
@@ -43,17 +44,20 @@ def itc_loss(img_feats: np.ndarray, txt_feats: np.ndarray, tau: float = 0.07) ->
         0.5 * (-np.mean(np.log(p_i2t[idx, idx])) - np.mean(np.log(p_t2i[idx, idx])))
     )
 
-    d_i2t = p_i2t.copy()
-    d_i2t[idx, idx] -= 1.0
-    d_i2t /= 2.0 * b * tau
-    d_t2i = p_t2i.copy()
-    d_t2i[idx, idx] -= 1.0
-    d_t2i /= 2.0 * b * tau
+    def backward():
+        d_i2t = p_i2t.copy()
+        d_i2t[idx, idx] -= 1.0
+        d_i2t /= 2.0 * b * tau
+        d_t2i = p_t2i.copy()
+        d_t2i[idx, idx] -= 1.0
+        d_t2i /= 2.0 * b * tau
 
-    # image rows get i2t query grads plus t2i candidate grads
-    grad_img = d_i2t @ f_t + d_t2i.T @ f_t
-    grad_txt = d_t2i @ f_i + d_i2t.T @ f_i
-    return LossWithGrad(value, {"img_feats": grad_img, "txt_feats": grad_txt})
+        # image rows get i2t query grads plus t2i candidate grads
+        grad_img = d_i2t @ f_t + d_t2i.T @ f_t
+        grad_txt = d_t2i @ f_i + d_i2t.T @ f_i
+        return {"img_feats": grad_img, "txt_feats": grad_txt}
+
+    return LossWithGrad(value, backward)
 
 
 def reconstruction_losses(
@@ -92,14 +96,17 @@ def reconstruction_losses(
     rows = np.repeat(np.arange(b), steps)
     probs = softmax(txt_logits)
     picked = probs[rows, targets]
-    # d/dp of -log(max(p, floor)) is 0 below the floor
-    active = (picked > PROB_FLOOR).astype(np.float64)
     nll = np.bincount(rows, weights=-np.log(np.maximum(picked, PROB_FLOOR)), minlength=b)
-    counts = np.bincount(rows * vocab + targets, weights=active, minlength=b * vocab)
-    n_active = np.bincount(rows, weights=active, minlength=b)
-    dlogits = (probs * n_active[:, None] - counts.reshape(b, vocab)) / (b * steps[:, None])
-    res_t = LossWithGrad(float(np.mean(nll / steps)), {"txt_logits": dlogits})
-    return res_v, res_t
+
+    def backward():
+        # d/dp of -log(max(p, floor)) is 0 below the floor
+        active = (picked > PROB_FLOOR).astype(np.float64)
+        counts = np.bincount(rows * vocab + targets, weights=active, minlength=b * vocab)
+        n_active = np.bincount(rows, weights=active, minlength=b)
+        dlogits = (probs * n_active[:, None] - counts.reshape(b, vocab)) / (b * steps[:, None])
+        return {"txt_logits": dlogits}
+
+    return res_v, LossWithGrad(float(np.mean(nll / steps)), backward)
 
 
 @dataclass

@@ -54,6 +54,22 @@ class PatientRecord:
     def __post_init__(self):
         if self.gt_label not in LABELS:
             raise ValidationError(f"unknown label {self.gt_label!r}")
+        for name, keys, wanted in (
+            ("cognition", self.cognition.keys(), COGNITIVE_DOMAINS),
+            ("biomarkers", self.biomarkers.keys(), BIOMARKERS),
+        ):
+            if keys != set(wanted):
+                raise ValidationError(f"{name} needs the keys {list(wanted)}, got {sorted(keys)}")
+        demo = self.demographics
+        for where, value, kind in (
+            ("demographics.age", demo.get("age"), (int, float)),
+            ("demographics.education_years", demo.get("education_years"), (int, float)),
+            ("demographics.sex", demo.get("sex"), str),
+            ("genetics.apoe", self.genetics.get("apoe"), str),
+        ):
+            if isinstance(value, bool) or not isinstance(value, kind):
+                words = "a string" if kind is str else "a number"
+                raise ValidationError(f"{where} must be {words}, got {value!r}")
         if any(v <= 0 for v in self.biomarkers.values()):
             raise ValidationError("biomarker values must be positive")
         seen = set()

@@ -79,6 +79,8 @@ class Embedder:
         rng = np.random.default_rng(seed)
         self.base_table = rng.normal(0.0, 1.0, size=(vocab_hash_dim, base_dim))
         self.base_table.setflags(write=False)
+        # text -> read-only mean feature row; the base table never changes
+        self._text_features: dict[str, np.ndarray] = {}
         slots = tensorio.flat_layout([("head_w", (base_dim, embed_dim)), ("head_b", (embed_dim,))])
         self.flat = np.zeros(slots[-1][2])
         self.params = MappingProxyType(tensorio.views(self.flat, slots))
@@ -111,8 +113,24 @@ class Embedder:
         return pooled / norm
 
     def features_of_texts(self, texts: list[str]) -> np.ndarray:
-        """Head-independent mean token features, safe to precompute and reuse."""
-        return np.stack([self.token_features(tokenize(t)).mean(axis=0) for t in texts])
+        """Head-independent mean token features, one row per text, safe to
+        precompute and reuse. Each distinct text's row is computed once per
+        embedder, as the mean of its token rows."""
+        memo = self._text_features
+        missing = [text for text in dict.fromkeys(texts) if text not in memo]
+        if missing:
+            rows = []
+            for text in missing:
+                feats = self.token_features(tokenize(text))
+                # np.add.reduce / n is .mean(axis=0), bit for bit, without its overhead
+                rows.append(np.add.reduce(feats, axis=0) / len(feats))
+            # one block per call, kept as row views: a 512-byte heap block per
+            # text kept for the embedder's life fragments the heap the mask
+            # decoder then trains in
+            block = np.stack(rows)
+            block.setflags(write=False)
+            memo.update(zip(missing, block))
+        return np.stack([memo[text] for text in texts])
 
     def encode_features(self, mean_feats: np.ndarray) -> tuple[np.ndarray, EncodeCache]:
         """Apply the trainable head to precomputed mean features and normalize."""

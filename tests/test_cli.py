@@ -668,6 +668,53 @@ def test_train_grpo_cohort_line_wrong_type_exits_1(tmp_path, cohort_dir, capsys,
     assert f"{name}: line 1: " in err and path in err
 
 
+def _drop(section, key):
+    def edit(record):
+        del record[section][key]
+
+    return edit
+
+
+def _set(section, key, value):
+    def edit(record):
+        record[section][key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (_drop("biomarkers", "abeta"), "biomarkers"),
+        (_drop("cognition", "memory"), "cognition"),
+        (_set("cognition", "mood", 0.0), "cognition"),
+        (_drop("demographics", "age"), "demographics.age"),
+        (_set("demographics", "age", "x"), "demographics.age"),
+        (_set("demographics", "education_years", True), "demographics.education_years"),
+        (_set("demographics", "sex", 3), "demographics.sex"),
+        (_drop("genetics", "apoe"), "genetics.apoe"),
+    ],
+    ids=["no-abeta", "no-memory", "extra-domain", "no-age", "text-age", "bool-education",
+         "number-sex", "no-apoe"],
+)
+def test_train_grpo_record_missing_or_mistyped_key_exits_1(tmp_path, cohort_dir, capsys, edit, path):
+    """A record whose dicts lack a key the trainers read, or hold a value of
+    the wrong kind, is a one-line error naming the file and line, not a
+    traceback from deep inside the policy."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    records = [json.loads(line) for line in (cohort / "records.jsonl").read_text().splitlines()]
+    for record in records:
+        edit(record)
+    (cohort / "records.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = cli_main(
+        ["train-grpo", "--cohort", str(cohort), "--out", str(tmp_path / "o"), "--iters", "20"]
+    )
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert "records.jsonl: line 1: " in err and path in err
+
+
 def _edit_split(change):
     def edit(text):
         split = json.loads(text)

@@ -293,4 +293,4 @@ def test_directional_terms_bit_equal_to_loop():
             loss, grad = grounding._directional_terms(k, pos, tau)
             want_loss, want_grad = _directional_terms_loop(k, positives, tau)
             assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
-            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(grad(), want_grad, rtol=1e-12, atol=0)

@@ -366,6 +366,14 @@ class TestFlatLayout:
             assert np.shares_memory(view, pol.flat), name
         assert not np.shares_memory(pol.copy().flat, pol.flat)
 
+    def test_params_in_slot_order_w_before_b(self):
+        want = [f"{name}.{part}" for name, _ in P.slot_layout() for part in ("w", "b")]
+        assert list(P.ReportPolicy().params) == want, (
+            "gradcheck.check_grpo draws the parameters in this order, and its margin "
+            "depends on it: reordering moves check_grpo toward TOLERANCE (seed 3 read "
+            "1.10e-4 with every .w drawn first, before the one-product logits)"
+        )
+
     def test_params_read_only(self):
         pol = P.ReportPolicy()
         with pytest.raises(TypeError):

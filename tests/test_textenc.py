@@ -66,6 +66,28 @@ class TestEmbedder:
             emb.embed_text("hippocampus"), tok / np.linalg.norm(tok), atol=1e-12
         )
 
+    def test_features_of_texts_computes_each_text_once(self, monkeypatch):
+        emb = textenc.Embedder(seed=4)
+        texts = ["memory recall is low", "tau elevated", "memory recall is low", "x y z w"]
+        want = [emb.token_features(textenc.tokenize(t)).mean(axis=0) for t in texts]
+        looked_up = []
+        token_features = emb.token_features
+
+        def counted(tokens):
+            looked_up.append(tokens)
+            return token_features(tokens)
+
+        monkeypatch.setattr(emb, "token_features", counted)
+        first = emb.features_of_texts(texts)
+        again = emb.features_of_texts(texts[::-1])
+        assert len(looked_up) == 3  # one per distinct text, on the first call only
+        for i, row in enumerate(want):
+            assert np.array_equal(first[i], row) and np.array_equal(again[-1 - i], row)
+        first[0] += 1.0  # callers get their own array; the memo stays as computed
+        assert np.array_equal(emb.features_of_texts(texts[:1])[0], want[0])
+        fresh = textenc.Embedder(seed=4)
+        assert np.array_equal(fresh.features_of_texts(texts), emb.features_of_texts(texts))
+
     def test_base_table_immutable_and_only_head_grads(self):
         from eviground.grounding import GroundingBatch, multi_positive_infonce
         from eviground.records import EvidenceItem
