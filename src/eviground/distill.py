@@ -86,6 +86,23 @@ def distill_loss(teacher_p: np.ndarray, student_logits: np.ndarray, tau_d: float
     return LossWithGrad(value, backward)
 
 
+def student_loss(student: Embedder, feat_s, feat_e, q, tau, tau_d) -> LossWithGrad:
+    """The student's objective on one report: ``distill_loss`` of its logits
+    ``v_s @ v_e.T / tau`` against the teacher rows ``q``, with ``grads["flat"]``
+    laid out like ``student.flat``. The sentence and evidence features are
+    copied, because the encode caches keep them for the backward."""
+    v_s, cache_s = student.encode_features(np.array(feat_s))
+    v_e, cache_e = student.encode_features(np.array(feat_e))
+    loss = distill_loss(q, v_s @ v_e.T / tau, tau_d)
+
+    def backward():
+        dz = loss.grads["student_logits"]
+        g_s = student.backward_texts(cache_s, dz @ v_e / tau)
+        return {"flat": g_s + student.backward_texts(cache_e, dz.T @ v_s / tau)}
+
+    return LossWithGrad(loss.value, backward)
+
+
 def teacher_evidence_distribution(
     teacher: TeacherGrounder,
     sentences: list[str],
@@ -105,7 +122,7 @@ def train_student(
     *,
     seed: int,
 ) -> tuple[Embedder, list[dict]]:
-    """Minimize the distill loss over all generated sentences, one
+    """Minimize ``student_loss`` over all generated sentences, one
     SGD step per generated report on the mean loss over its sentences.
 
     Candidates for each sentence are restricted to its patient's evidence
@@ -148,15 +165,9 @@ def train_student(
         total = 0.0
         for idx in rng.permutation(len(items)):
             feat_s, feat_e, q = items[idx]
-            v_s, cache_s = student.encode_features(feat_s)
-            v_e, cache_e = student.encode_features(feat_e)
-            logits = v_s @ v_e.T / teacher.tau
-            loss = distill_loss(q, logits, cfg.distill_temperature)
+            loss = student_loss(student, feat_s, feat_e, q, teacher.tau, cfg.distill_temperature)
             total += loss.value * len(q)
-            dz = loss.grads["student_logits"]
-            g_s = student.backward_texts(cache_s, dz @ v_e / teacher.tau)
-            g_e = student.backward_texts(cache_e, dz.T @ v_s / teacher.tau)
-            student.flat -= cfg.lr * (g_s + g_e)
+            student.flat -= cfg.lr * loss.grads["flat"]
         rows.append({"epoch": epoch, "loss": total / n_sentences})
 
     if not np.array_equal(teacher_before, teacher.embedder.flat):

@@ -1,8 +1,10 @@
 """Finite-difference verification suites for every loss with gradients.
 
-Each suite draws small random instances and reports the worst relative
-error between analytic gradients and central differences. Used by the
-`gradcheck` CLI subcommand and the acceptance tests.
+Each suite draws small random instances and reports the worst error
+between analytic gradients and central differences, measured by the one
+oracle, :func:`losses.finite_difference_check` (relative error, with
+entries below 1e-6 checked absolutely). Used by the `gradcheck` CLI
+subcommand and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -137,37 +139,11 @@ def check_grpo(seed: int) -> float:
     lw = policy.grpo_loss(group, pol, ref_probs, epsilon=0.2, beta=0.1)
 
     # every entry of pol.flat is perturbed in place: 1 + 2 * 731 loss calls
-    return _masked_fd_error(
+    return losses.finite_difference_check(
         lambda _: policy.grpo_loss(group, pol, ref_probs, epsilon=0.2, beta=0.1).value,
         pol.flat,
         lw.grads["flat"],
     )
-
-
-def _masked_fd_error(f, x: np.ndarray, grad: np.ndarray, h: float = 1e-5) -> float:
-    """Relative FD error over resolvable entries of ``x``, perturbed in place.
-
-    Central differences at h=1e-5 carry ~1e-10 absolute noise for O(1)
-    functions, so entries where both estimates are below 1e-6 are checked
-    for absolute agreement instead (a scaled-wrong gradient still fails).
-    """
-    worst = 0.0
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        fd = (fp - fm) / (2.0 * h)
-        if max(abs(fd), abs(gflat[i])) < 1e-6:
-            if abs(fd - gflat[i]) > 1e-7:
-                worst = max(worst, 1.0)
-            continue
-        worst = max(worst, abs(fd - gflat[i]) / max(1e-8, abs(fd)))
-    return worst
 
 
 SUITES = {

@@ -80,6 +80,8 @@ def eval_grounding(
     by_patient: dict[str, list] = {}
     for row in cohort.rows_for(split):
         by_patient.setdefault(row.patient_id, []).append(row)
+    if not by_patient:
+        raise EmptyGoldError(f"no queries in the {split!r} split")
     texts = FrozenTexts(emb)
     rankings, golds = [], []
     for pid, rows in by_patient.items():

@@ -336,11 +336,6 @@ def normalize_advantages(rewards: np.ndarray) -> np.ndarray:
     return (rewards - rewards.mean()) / (rewards.std() + ADVANTAGE_STD_FLOOR)
 
 
-def importance_ratio(new_logprob: float, old_logprob: float) -> float:
-    """exp(new - old) with the exponent clamped to [-30, 30]."""
-    return float(np.exp(np.clip(new_logprob - old_logprob, -RATIO_EXPONENT_CLAMP, RATIO_EXPONENT_CLAMP)))
-
-
 def grpo_loss(
     group: SampleGroup,
     policy: ReportPolicy,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
-from .errors import DimMismatchError, IndexOutOfRangeError, ValidationError
+from .errors import DimMismatchError, EmptyDatasetError, IndexOutOfRangeError, ValidationError
 from .losses import PROB_FLOOR, LossWithGrad, mse_loss, softmax
 from .textenc import token_bucket, tokenize
 
@@ -153,6 +153,8 @@ def pretrain_data_from_cohort(cohort, split: str = "train", cfg: PretrainConfig 
     cfg = cfg or PretrainConfig()
     helper = Embedder()
     ids = cohort.split[split]
+    if not ids:
+        raise EmptyDatasetError(f"no patients in the {split!r} split to pretrain on")
     volumes = np.stack([cohort.volume(pid) for pid in ids])
     patch = 4
     img_pooled = np.stack([patchify(v, patch).mean(axis=1) for v in volumes])

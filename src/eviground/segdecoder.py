@@ -36,7 +36,7 @@ float64. ``forward`` computes in the dtype of its visual tokens. Training
 stacks them as float32, so each step runs on one float32 copy of ``flat``,
 and ``backward`` writes its float32 blocks into the float64 gradient.
 Evaluation (``decode_mask``) and the finite-difference checks pass float64
-tokens and run on ``flat`` itself in float64.
+tokens and run on a float64 copy of ``flat``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import DimMismatchError, ValidationError
-from .losses import _sigmoid, dice_bce_loss
+from .losses import LossWithGrad, _sigmoid, dice_bce_loss
 
 _LN_EPS = 1e-5
 # samples per Adam step in train_mask_decoder
@@ -312,9 +312,8 @@ class SegDecoder:
         (D, D, D) volume. ``evidence_lengths`` (B,) marks evidence rows past
         each sample's length as padding (default: none is padded).
 
-        Everything is computed in ``volume_tokens.dtype``: float64 tokens use
-        ``flat`` itself, float32 tokens one float32 copy of it, and the
-        evidence tokens are cast to match."""
+        Everything is computed in ``volume_tokens.dtype``, on one copy of
+        ``flat`` in that dtype, and the evidence tokens are cast to match."""
         c = self.cfg
         single = volume_tokens.ndim == 2
         if volume_tokens.ndim not in (2, 3) or volume_tokens.shape[-2:] != (
@@ -341,10 +340,10 @@ class SegDecoder:
             if lengths.min() < n_ev:
                 padded = np.arange(n_ev) >= lengths[:, None]
                 bias = np.where(padded, -np.inf, 0.0).astype(dtype, copy=False)[:, None, :]
+        # copies only: a backward from the cache ignores later in-place edits
         x = volume_tokens.reshape(-1, c.token_dim).copy()  # the residual stream, updated in place
-        t = evidence_tokens.reshape(-1, c.token_dim).astype(dtype, copy=False)
-        weights = self.flat.astype(dtype, copy=False)
-        p = self.params if weights is self.flat else self.views(weights)
+        t = evidence_tokens.reshape(-1, c.token_dim).astype(dtype)
+        p = self.views(self.flat.astype(dtype))
         layer_caches = []
         for i in range(c.layers):
             pre = f"l{i}."
@@ -438,6 +437,17 @@ class SegDecoder:
             dx += da_in
         return gflat
 
+    def loss(self, tokens, evidence, gt, lambda_dice, lambda_bce, evidence_lengths=None):
+        """The training objective: ``dice_bce_loss`` of ``forward``'s logits
+        against ``gt``, a ``LossWithGrad`` whose ``grads["flat"]`` is laid out
+        like ``flat``. The forward cache is freed once the gradient is built."""
+        logits, cache = self.forward(tokens, evidence, evidence_lengths=evidence_lengths)
+        mask_loss = dice_bce_loss(logits, gt, lambda_dice, lambda_bce)
+        return LossWithGrad(
+            mask_loss.value,
+            lambda: {"flat": self.backward(mask_loss.grads["pred_logits"], cache)},
+        )
+
     # --- checkpoints ------------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
@@ -511,7 +521,7 @@ def train_mask_decoder(
     seed: int = 0,
     batch_size: int = BATCH_SIZE,
 ) -> list[dict]:
-    """Adam on ``dice_bce_loss`` over (tokens, evidence, mask) samples.
+    """Adam on ``SegDecoder.loss`` over (tokens, evidence, mask) samples.
 
     Each epoch shuffles the samples and takes one Adam step per
     ``batch_size`` of them (the last batch may be short), ceil(n / batch_size)
@@ -563,13 +573,12 @@ def _raise_heap_trim_threshold() -> None:
 def _train_step(dec, opt, batch, lambda_dice, lambda_bce) -> tuple[float, float]:
     """One Adam step on one batch, computed in float32; returns the batch's
     summed sample loss and the L2 norm of its flat gradient. The forward
-    cache is local, so it is freed before the next batch's forward."""
+    cache lives in the loss, so it is freed before the next batch's forward."""
     tokens = np.stack([sample[0] for sample in batch], dtype=np.float32)
     evidence, lengths = pad_evidence([sample[1] for sample in batch])
     gt = np.stack([sample[2] for sample in batch]).astype(np.float64)
-    logits, cache = dec.forward(tokens, evidence, evidence_lengths=lengths)
-    loss = dice_bce_loss(logits, gt, lambda_dice, lambda_bce)
-    grads = dec.backward(loss.grads["pred_logits"], cache)
+    loss = dec.loss(tokens, evidence, gt, lambda_dice, lambda_bce, lengths)
+    grads = loss.grads["flat"]
     opt.step(dec.flat, grads)
     # a ufunc reduction sums in the same order whatever the BLAS thread count
     return loss.value * len(batch), math.sqrt(np.add.reduce(grads * grads))

@@ -87,11 +87,6 @@ class Embedder:
         head_w = self.params["head_w"]
         head_w[...] = rng.normal(0.0, 1.0 / np.sqrt(base_dim), size=head_w.shape)
 
-    def copy(self) -> "Embedder":
-        clone = Embedder(self.vocab_hash_dim, self.base_dim, self.embed_dim, self.seed)
-        clone.flat[...] = self.flat
-        return clone
-
     # --- forward ------------------------------------------------------------
 
     def token_features(self, tokens: list[str]) -> np.ndarray:

@@ -566,6 +566,45 @@ def test_eval_unknown_split_exits_1(tmp_path, cohort_dir, capsys, argv):
     assert "'nosuch'" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pretrain", "--cohort", "{cohort}", "--out", "{out}"],
+        ["pipeline", "--n", "1", "--out", "{out}"],
+    ],
+    ids=["pretrain", "pipeline"],
+)
+def test_empty_train_split_exits_1(tmp_path, capsys, argv):
+    """A one-patient cohort has no train patients; pretraining on it is a
+    one-line error, not a traceback from stacking no volumes."""
+    cohort = tmp_path / "cohort"
+    assert cli_main(["generate-cohort", "--out", str(cohort), "--n", "1"]) == 0
+    capsys.readouterr()
+    assert cli_main([a.format(cohort=cohort, out=tmp_path / "o") for a in argv]) == 1
+    assert "'train' split" in _one_line_error(capsys)
+
+
+def test_eval_grounding_empty_split_prints_one_line(tmp_path):
+    """A three-patient cohort has no val patients: the error comes before
+    any mean, so no numpy warning precedes it on stderr."""
+    cohort, sea = tmp_path / "cohort", tmp_path / "sea"
+    assert cli_main(["generate-cohort", "--out", str(cohort), "--n", "3"]) == 0
+    assert Cohort.load(cohort).split["val"] == []
+    Embedder().save(sea / "embedder")
+    src = str(Path(eviground.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["eval-grounding", "--cohort", str(cohort), "--checkpoint", str(sea),
+            "--out", str(tmp_path / "o"), "--split", "val"]
+    done = subprocess.run(
+        [sys.executable, "-m", "eviground.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "error: no queries in the 'val' split\n"
+
+
 def test_config_seed_out_of_range_exits_1(tmp_path, cohort_dir, capsys):
     cfg = tmp_path / "seed.json"
     cfg.write_text(json.dumps({"seed": -1}))

@@ -89,6 +89,44 @@ class TestDistillLoss:
         assert distill.DistillConfig(lr=0.0).lr == 0.0
 
 
+def _student_instance(seed):
+    """A small student, one report's features and tempered teacher rows."""
+    rng = np.random.default_rng(seed)
+    student = Embedder(vocab_hash_dim=16, base_dim=8, embed_dim=4, seed=seed)
+    feat_s = rng.normal(size=(3, 8))
+    feat_e = rng.normal(size=(4, 8))
+    q = softmax(rng.normal(size=(3, 4)), temperature=2.0)
+    return student, feat_s, feat_e, q
+
+
+class TestStudentLoss:
+    def test_gradient_fd_over_student_flat(self):
+        """The chain distill_loss -> logits -> two encodes, checked over
+        every entry of ``student.flat`` at 50 seeds."""
+        from eviground.gradcheck import TOLERANCE
+        from eviground.losses import finite_difference_check
+
+        worst = 0.0
+        for seed in range(50):
+            student, feat_s, feat_e, q = _student_instance(seed)
+            lw = distill.student_loss(student, feat_s, feat_e, q, 0.07, 2.0)
+            err = finite_difference_check(
+                lambda _: distill.student_loss(student, feat_s, feat_e, q, 0.07, 2.0).value,
+                student.flat,
+                lw.grads["flat"],
+            )
+            worst = max(worst, err)
+        assert worst < TOLERANCE
+
+    def test_value_is_distill_loss_of_the_logits(self):
+        student, feat_s, feat_e, q = _student_instance(0)
+        v_s = np.stack([student.encode_features(f[None])[0][0] for f in feat_s])
+        v_e = np.stack([student.encode_features(f[None])[0][0] for f in feat_e])
+        want = distill.distill_loss(q, v_s @ v_e.T / 0.07, 2.0).value
+        got = distill.student_loss(student, feat_s, feat_e, q, 0.07, 2.0).value
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def teacher(small_cohort):
     emb, _, _ = train_grounding(
@@ -150,6 +188,25 @@ class TestTrainStudent:
         with pytest.raises(EmptyDatasetError):
             distill.train_student(reports[:1], teacher, cfg, seed=0)
 
+    def test_applies_the_student_loss_gradient(self, teacher, train_reports, monkeypatch):
+        """Each SGD step subtracts lr times ``student_loss``'s own gradient,
+        the function the finite-difference test checks."""
+        steps = []
+        student_loss = distill.student_loss
+
+        def recording(student, *args):
+            loss = student_loss(student, *args)
+            steps.append((student, student.flat.copy(), loss.grads["flat"]))
+            return loss
+
+        monkeypatch.setattr(distill, "student_loss", recording)
+        cfg = distill.DistillConfig(epochs=2, lr=0.5)
+        student, _ = distill.train_student(train_reports, teacher, cfg, seed=0)
+        assert len(steps) > 1 and all(s is student for s, _, _ in steps)
+        after = [flat for _, flat, _ in steps[1:]] + [student.flat]
+        for (_, before, grad), got in zip(steps, after):
+            assert np.array_equal(got, before - cfg.lr * grad)
+
     def test_teacher_bitwise_frozen(self, teacher, train_reports):
         before = teacher.embedder.flat.copy()
         distill.train_student(
@@ -173,7 +230,9 @@ class TestLabelEfficiency:
     def test_student_kl_is_zero_only_at_teacher_weights(self, small_cohort, teacher):
         tau_d = 2.0
         same = distill._held_out(teacher, FrozenTexts(teacher.embedder), small_cohort, tau_d)
-        nudged = teacher.embedder.copy()
+        emb = teacher.embedder
+        nudged = Embedder(emb.vocab_hash_dim, emb.base_dim, emb.embed_dim, emb.seed)
+        nudged.flat[...] = emb.flat
         nudged.flat += 1e-3 * np.random.default_rng(0).normal(size=nudged.flat.shape)
         moved = distill._held_out(teacher, FrozenTexts(nudged), small_cohort, tau_d)
         gcfg = GrounderConfig(epochs=2, train_decoder=False)

@@ -10,7 +10,7 @@ must build one gradient per instance.
 import numpy as np
 import pytest
 
-from eviground import distill, gradcheck, grounding, losses, policy, pretrain
+from eviground import distill, gradcheck, grounding, losses, policy, pretrain, segdecoder
 from eviground.textenc import Embedder
 
 
@@ -78,6 +78,28 @@ def _grpo(rng):
     return call, [features, ref_probs, pol.flat, *(r.chosen for r in group.rollouts)]
 
 
+def _decoder(rng):
+    """Float64 tokens: the gradient must not see later edits to ``dec.flat``
+    or to the evidence, which a float64 forward need not cast."""
+    cfg = segdecoder.SegDecoderConfig(volume_dim=4, patch=2, token_dim=6, layers=2, ffn_hidden=10)
+    dec = segdecoder.SegDecoder(cfg)
+    dec.flat[...] = rng.normal(0, 0.3, dec.flat.shape)
+    tokens = np.stack([dec.volume_to_tokens(rng.normal(size=(4, 4, 4))) for _ in range(2)])
+    evidence, lengths = segdecoder.pad_evidence([rng.normal(size=(3, 6)), rng.normal(size=(5, 6))])
+    gt = (rng.random((2, 4, 4, 4)) > 0.5).astype(np.float64)
+    call = lambda: (dec.loss(tokens, evidence, gt, 0.7, 1.3, lengths),)  # noqa: E731
+    return call, [tokens, evidence, gt, dec.flat]
+
+
+def _student(rng):
+    student = Embedder(vocab_hash_dim=16, base_dim=8, embed_dim=4, seed=int(rng.integers(100)))
+    feat_s = student.features_of_texts(["memory recall", "tau elevated", "volume reduced"])
+    feat_e = student.features_of_texts(["recall score", "tau level", "amyloid", "volume"])
+    q = losses.softmax(rng.normal(size=(3, 4)), temperature=2.0)
+    call = lambda: (distill.student_loss(student, feat_s, feat_e, q, 0.07, 2.0),)  # noqa: E731
+    return call, [feat_s, feat_e, q, student.flat]
+
+
 CASES = {
     "mse_loss": _mse,
     "token_nll": _token_nll,
@@ -87,6 +109,8 @@ CASES = {
     "reconstruction_losses": _reconstruction,
     "infonce_from_features": _infonce,
     "grpo_loss": _grpo,
+    "SegDecoder.loss": _decoder,
+    "student_loss": _student,
 }
 
 

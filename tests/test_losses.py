@@ -228,3 +228,17 @@ class TestFiniteDifferenceCheck:
         x = np.array([1.0, 2.0])
         err = losses.finite_difference_check(lambda v: float(np.sum(v**2)), x, 4 * x)
         assert err == pytest.approx(1.0, abs=1e-6)
+
+    def test_small_entry_mismatch_above_absolute_bound_reports_one(self):
+        """Entries below 1e-6 are checked absolutely: off by 2e-8 fails."""
+        x = np.array([0.3, -0.7])
+        slope = np.array([4e-7, -2e-7])
+        err = losses.finite_difference_check(lambda v: float(slope @ v), x, slope + [2e-8, 0.0])
+        assert err == 1.0
+
+    def test_small_entry_within_absolute_bound_passes(self):
+        """Off by 5e-9 passes, though that is 1.25% of the entry."""
+        x = np.array([0.3, -0.7])
+        slope = np.array([4e-7, -2e-7])
+        err = losses.finite_difference_check(lambda v: float(slope @ v), x, slope + [5e-9, 0.0])
+        assert err == 0.0

@@ -95,16 +95,36 @@ class TestNormalizeAdvantages:
         assert got.std() == pytest.approx(1.0, abs=1e-6)
 
 
+def _one_rollout_loss(log_ratio):
+    """``grpo_loss`` at beta=0 of one rollout whose new-minus-old log-prob is
+    ``log_ratio``. The advantage is -1 for a ratio of at least 1 and +1
+    below, which keeps the unclipped branch active, so the value is the
+    ratio itself, negated below 1."""
+    pol = P.ReportPolicy()
+    features = np.zeros(P.FEATURE_DIM)
+    choices = {name: 0 for name, _ in pol.slots}
+    rollout = P.Rollout(choices, "", pol.log_prob(choices, features) - log_ratio)
+    rollout.advantage = -1.0 if log_ratio >= 0 else 1.0
+    group = P.SampleGroup("p", features, [rollout])
+    return P.grpo_loss(group, pol, pol.probs(features), 0.2, beta=0.0)
+
+
 class TestImportanceRatio:
+    """The ratio exp(new - old) as ``grpo_loss`` computes it."""
+
     def test_equal_logprobs(self):
-        assert P.importance_ratio(-3.0, -3.0) == 1.0
+        assert _one_rollout_loss(0.0).value == 1.0
 
     def test_log_ratio(self):
-        assert P.importance_ratio(math.log(1.5), 0.0) == pytest.approx(1.5, abs=1e-9)
+        assert _one_rollout_loss(math.log(1.5)).value == pytest.approx(1.5, abs=1e-9)
 
     def test_exponent_clamp(self):
-        assert P.importance_ratio(100.0, 0.0) == pytest.approx(math.exp(30.0))
-        assert P.importance_ratio(-100.0, 0.0) == pytest.approx(math.exp(-30.0))
+        """Past +/-30 the exponent is clamped, so the ratio is constant there
+        and its gradient is zero."""
+        high, low = _one_rollout_loss(100.0), _one_rollout_loss(-100.0)
+        assert high.value == pytest.approx(math.exp(30.0))
+        assert low.value == pytest.approx(-math.exp(-30.0))
+        assert not high.grads["flat"].any() and not low.grads["flat"].any()
 
 
 def _group_with(pol, features, advantages, rho=None):
@@ -153,10 +173,7 @@ class TestGrpoLoss:
         group = _group_with(pol, features, rng.normal(size=4), rho=rhos)
         lw = P.grpo_loss(group, pol, pol.probs(features), epsilon=0.2, beta=0.0)
         unclipped = 0.0
-        for rollout in group.rollouts:
-            rho = P.importance_ratio(
-                pol.log_prob(rollout.choices, features), rollout.old_logprob
-            )
+        for rollout, rho in zip(group.rollouts, rhos):
             unclipped += -rho * rollout.advantage / len(group.rollouts)
         assert lw.value == pytest.approx(unclipped, abs=1e-12)
 

@@ -7,6 +7,7 @@ import pytest
 
 from eviground import losses
 from eviground.errors import DimMismatchError, ValidationError
+from eviground.gradcheck import TOLERANCE
 from eviground.segdecoder import (
     Adam,
     SegDecoder,
@@ -114,27 +115,21 @@ def test_batched_forward_equals_batches_of_one(tiny):
         np.testing.assert_allclose(logits[b], single, rtol=1e-12, atol=0)
 
 
+def _fd_error(dec, tokens, evidence, gt, lengths=None):
+    """The oracle's error for ``dec.loss`` over every entry of ``dec.flat``."""
+    lw = dec.loss(tokens, evidence, gt, 1.0, 1.0, lengths)
+    assert lw.grads["flat"].shape == dec.flat.shape
+    return losses.finite_difference_check(
+        lambda _: dec.loss(tokens, evidence, gt, 1.0, 1.0, lengths).value,
+        dec.flat,
+        lw.grads["flat"],
+    )
+
+
 def test_backward_matches_finite_differences(tiny):
     dec, tokens, evidence = tiny
     gt = (np.random.default_rng(2).random((4, 4, 4)) > 0.5).astype(float)
-    logits, cache = dec.forward(tokens, evidence)
-    lw = losses.dice_bce_loss(logits, gt)
-    grads = dec.backward(lw.grads["pred_logits"], cache)
-    assert grads.shape == dec.flat.shape
-
-    # every trainable entry; absolute agreement, since relative error is
-    # meaningless for the tiniest entries
-    h = 1e-5
-    flat = dec.flat
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = losses.dice_bce_loss(dec.forward(tokens, evidence)[0], gt).value
-        flat[i] = orig - h
-        fm = losses.dice_bce_loss(dec.forward(tokens, evidence)[0], gt).value
-        flat[i] = orig
-        fd = (fp - fm) / (2 * h)
-        assert fd == pytest.approx(grads[i], rel=1e-3, abs=1e-8), f"flat entry {i}"
+    assert _fd_error(dec, tokens, evidence, gt) < TOLERANCE
 
 
 def test_batched_backward_matches_finite_differences(tiny):
@@ -145,26 +140,7 @@ def test_batched_backward_matches_finite_differences(tiny):
     tokens = np.stack([dec.volume_to_tokens(rng.normal(size=(4, 4, 4))) for _ in range(2)])
     evidence, lengths = pad_evidence([rng.normal(size=(3, 6)), rng.normal(size=(5, 6))])
     gt = (rng.random((2, 4, 4, 4)) > 0.5).astype(float)
-
-    def loss_of(ev):
-        logits, _ = dec.forward(tokens, ev, evidence_lengths=lengths)
-        return losses.dice_bce_loss(logits, gt).value
-
-    logits, cache = dec.forward(tokens, evidence, evidence_lengths=lengths)
-    lw = losses.dice_bce_loss(logits, gt)
-    grads = dec.backward(lw.grads["pred_logits"], cache)
-
-    h = 1e-5
-    flat = dec.flat
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = loss_of(evidence)
-        flat[i] = orig - h
-        fm = loss_of(evidence)
-        flat[i] = orig
-        fd = (fp - fm) / (2 * h)
-        assert fd == pytest.approx(grads[i], rel=1e-3, abs=1e-8), f"flat entry {i}"
+    assert _fd_error(dec, tokens, evidence, gt, lengths) < TOLERANCE
 
 
 def test_flat_adam_matches_per_tensor_formula(tiny):
@@ -226,17 +202,15 @@ def test_batch_of_one_is_the_per_sample_loop(tiny):
     for _ in range(3):
         for idx in rng.permutation(len(samples)):
             tokens, ev, mask = samples[idx]
-            logits, cache = ref.forward(tokens.astype(np.float32), ev)
-            loss = losses.dice_bce_loss(logits, mask.astype(float))
-            opt.step(ref.flat, ref.backward(loss.grads["pred_logits"], cache))
+            loss = ref.loss(tokens.astype(np.float32), ev, mask.astype(float), 1.0, 1.0)
+            opt.step(ref.flat, loss.grads["flat"])
     got = SegDecoder(dec.cfg)
     train_mask_decoder(got, samples, epochs=3, lr=2e-3, seed=5, batch_size=1)
     np.testing.assert_array_equal(got.flat, ref.flat)
 
 
 def _flat_gradient(dec, tokens, evidence, gt, lengths=None):
-    logits, cache = dec.forward(tokens, evidence, evidence_lengths=lengths)
-    return dec.backward(losses.dice_bce_loss(logits, gt).grads["pred_logits"], cache)
+    return dec.loss(tokens, evidence, gt, 1.0, 1.0, lengths).grads["flat"]
 
 
 def _default_batch():

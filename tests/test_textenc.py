@@ -142,7 +142,7 @@ class TestEmbedder:
         )
         # reference: loose per-tensor weights stepped one tensor at a time
         head_w, head_b = emb.params["head_w"].copy(), emb.params["head_b"].copy()
-        ref = emb.copy()
+        ref = textenc.Embedder(vocab_hash_dim=16, base_dim=8, embed_dim=4, seed=3)  # same table
         lr = 0.5
         for _ in range(3):
             emb.flat -= lr * infonce_from_features(*args, emb, 0.07).grads["flat"]
